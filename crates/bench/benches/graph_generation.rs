@@ -1,14 +1,20 @@
 //! Benchmarks for the graph generator — training cost (Table 3's
 //! headline: filtered graphs train ~99% faster than raw code graphs) and
-//! the near-instant prediction claim of §3.6.
+//! the near-instant prediction claim of §3.6, with a per-decision
+//! breakdown of the forward-only sampling engine.
+
+// The decision breakdown times single engine calls by design.
+#![allow(clippy::disallowed_methods)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kgpip_bench::experiments::ablation::encode_raw_graphs;
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
 use kgpip_codegraph::{analyze, filter_graph, OpVocab};
+use kgpip_graphgen::infer::{Engine, Scratch};
 use kgpip_graphgen::model::TypedGraph;
 use kgpip_graphgen::{GeneratorConfig, GraphGenerator, TrainExample};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn training_examples(n: usize) -> (Vec<TrainExample>, Vec<TrainExample>) {
     let scripts = generate_corpus(
@@ -99,6 +105,103 @@ fn bench_generation(c: &mut Criterion) {
         b.iter(|| trained.generate_top_k(black_box(&vec![0.1; 48]), &prefix, 3, 1.2, 7))
     });
     group.finish();
+    decision_breakdown(&trained, &prefix);
+}
+
+/// Mean wall time of one call, accumulated over many.
+#[derive(Default)]
+struct CallTime {
+    total: Duration,
+    calls: u32,
+}
+
+impl CallTime {
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let started = Instant::now();
+        let out = black_box(f());
+        self.total += started.elapsed();
+        self.calls += 1;
+        out
+    }
+
+    fn mean_ns(&self) -> f64 {
+        self.total.as_nanos() as f64 / f64::from(self.calls.max(1))
+    }
+}
+
+/// Per-decision cost of the sampling engine on the `generate_top3`
+/// model: replays the decisions that build each top-3 graph through the
+/// public engine calls and times each kind on its own — request set-up
+/// (dataset projection, prefix states, first add-node distribution), the
+/// graph readout, the add-node / add-edge / pick heads, and the state
+/// refresh after a node append or an edge insertion. Emits one
+/// `BENCH_JSON` row of mean ns per call.
+fn decision_breakdown(trained: &GraphGenerator, prefix: &TypedGraph) {
+    let reps = if std::env::args().any(|a| a == "--bench") {
+        200
+    } else {
+        1
+    };
+    let emb = vec![0.1; 48];
+    let graphs = trained.generate_top_k(&emb, prefix, 3, 1.2, 7);
+    let mut scratch = Scratch::default();
+    let mut setup = CallTime::default();
+    let mut readout = CallTime::default();
+    let mut addnode = CallTime::default();
+    let mut addedge = CallTime::default();
+    let mut pick = CallTime::default();
+    let mut refresh_node = CallTime::default();
+    let mut refresh_edge = CallTime::default();
+    for _ in 0..reps {
+        let engine: Engine = setup
+            .time(|| Engine::new(trained, &emb, prefix, &mut scratch))
+            .unwrap();
+        for g in &graphs {
+            let mut states = engine.prefix_states().clone();
+            for (node, &ty) in g.graph.types.iter().enumerate().skip(prefix.types.len()) {
+                readout
+                    .time(|| engine.readout(&states, &mut scratch))
+                    .unwrap();
+                addnode
+                    .time(|| engine.addnode_logits(&mut scratch).map(|l| l.len()))
+                    .unwrap();
+                refresh_node
+                    .time(|| states.add_node(trained, ty, &mut scratch))
+                    .unwrap();
+                for &(u, _) in g.graph.edges.iter().filter(|(_, v)| *v == node) {
+                    readout
+                        .time(|| engine.readout(&states, &mut scratch))
+                        .unwrap();
+                    addedge
+                        .time(|| engine.addedge_logit(&states, node, &mut scratch))
+                        .unwrap();
+                    pick.time(|| {
+                        engine
+                            .pick_logits(&states, node, &mut scratch)
+                            .map(|l| l.len())
+                    })
+                    .unwrap();
+                    refresh_edge
+                        .time(|| states.add_edge(trained, u, node, &mut scratch))
+                        .unwrap();
+                }
+            }
+        }
+    }
+    println!(
+        "BENCH_JSON {{\"id\":\"table3_generator/decision_breakdown\",\
+         \"request_setup_ns\":{:.0},\"readout_ns\":{:.0},\"addnode_head_ns\":{:.0},\
+         \"addedge_head_ns\":{:.0},\"pick_head_ns\":{:.0},\"refresh_node_ns\":{:.0},\
+         \"refresh_edge_ns\":{:.0},\"graphs\":{},\"reps\":{reps}}}",
+        setup.mean_ns(),
+        readout.mean_ns(),
+        addnode.mean_ns(),
+        addedge.mean_ns(),
+        pick.mean_ns(),
+        refresh_node.mean_ns(),
+        refresh_edge.mean_ns(),
+        graphs.len(),
+    );
 }
 
 /// Kernel-level benchmarks on matmul shapes drawn from the generator's

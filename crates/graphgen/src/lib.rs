@@ -20,12 +20,16 @@
 //! * [`model::GraphGenerator`] — the GNN itself: typed node embeddings
 //!   (the dataset node's embedding is projected from the dataset's
 //!   *content* embedding), message-passing propagation with GRU state
-//!   updates, and MLP decision heads; trained with Adam, sampled with
-//!   temperature.
+//!   updates, and MLP decision heads; trained with Adam on an autodiff
+//!   tape,
+//! * [`infer`] — the forward-only engine that samples from it with
+//!   temperature: no tape, hoisted per-request work, and node states
+//!   memoized and refreshed incrementally as the graph grows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod infer;
 pub mod model;
 pub mod sequence;
 

@@ -5,11 +5,12 @@
 //! both KGpip's filtered pipeline vocabulary and — for the Table 3 ablation
 //! — on raw code-graph label vocabularies.
 
+use crate::infer::{Engine, Scratch};
 use crate::sequence::{decisions_for, Decision};
 use kgpip_codegraph::{OpVocab, PipelineGraph, PipelineOp};
 use kgpip_nn::{Adam, GruCell, Linear, Mlp, ParamId, ParamStore, Tape, Tensor, TensorRef};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
@@ -149,17 +150,17 @@ pub struct GeneratedGraph {
 /// The deep graph generator.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct GraphGenerator {
-    config: GeneratorConfig,
-    store: ParamStore,
-    type_emb: ParamId,
-    ds_proj: Linear,
-    msg_fwd: Mlp,
-    msg_bwd: Mlp,
-    gru: GruCell,
-    graph_proj: Linear,
-    head_addnode: Mlp,
-    head_addedge: Mlp,
-    head_pick: Mlp,
+    pub(crate) config: GeneratorConfig,
+    pub(crate) store: ParamStore,
+    pub(crate) type_emb: ParamId,
+    pub(crate) ds_proj: Linear,
+    pub(crate) msg_fwd: Mlp,
+    pub(crate) msg_bwd: Mlp,
+    pub(crate) gru: GruCell,
+    pub(crate) graph_proj: Linear,
+    pub(crate) head_addnode: Mlp,
+    pub(crate) head_addedge: Mlp,
+    pub(crate) head_pick: Mlp,
 }
 
 impl GraphGenerator {
@@ -223,15 +224,15 @@ impl GraphGenerator {
     /// threads contending for one core plus per-batch scheduling) without
     /// buying any concurrency. Clamping routes such configs onto the exact
     /// sequential path — a pure cost change; results are bit-for-bit
-    /// identical at every worker count by construction.
+    /// identical at every worker count by construction. For the same
+    /// reason a pool that fails to build also falls back to sequential.
     fn worker_pool(&self) -> Option<ThreadPool> {
         let workers = effective_parallelism(self.config.parallelism);
-        (workers > 1).then(|| {
-            ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("thread pool construction")
-        })
+        if workers > 1 {
+            ThreadPoolBuilder::new().num_threads(workers).build().ok()
+        } else {
+            None
+        }
     }
 
     /// Parameter tensors with their names, in registration order — the
@@ -283,12 +284,13 @@ impl GraphGenerator {
         let n = graph.types.len();
         let hdim = self.config.hidden;
         let ds_base = self.ds_proj.forward(tape, ds_input)?;
-        let h0 = if n == 1 {
-            ds_base
-        } else {
-            let table = tape.param(self.type_emb);
-            let rest = tape.gather_rows(table, &graph.types[1..])?;
-            tape.concat_rows(ds_base, rest)?
+        let h0 = match graph.types.get(1..) {
+            Some(rest) if !rest.is_empty() => {
+                let table = tape.param(self.type_emb);
+                let rest = tape.gather_rows(table, rest)?;
+                tape.concat_rows(ds_base, rest)?
+            }
+            _ => ds_base,
         };
         let mut h = tape.tanh(h0);
         for _ in 0..self.config.prop_rounds {
@@ -370,18 +372,28 @@ impl GraphGenerator {
         tape.reshape(scores, 1, newest)
     }
 
-    fn ds_tensor(&self, embedding: &[f64]) -> Tensor {
-        let mut data: Vec<f32> = embedding.iter().map(|x| *x as f32).collect();
-        data.resize(self.config.embed_dim, 0.0);
-        Tensor::from_vec(data, 1, self.config.embed_dim).expect("resized to embed_dim")
+    /// The dataset embedding as a 1 × `embed_dim` input row (truncated or
+    /// zero-padded).
+    pub(crate) fn ds_tensor(&self, embedding: &[f64]) -> Tensor {
+        let mut t = Tensor::zeros(1, self.config.embed_dim);
+        for (o, x) in t.as_mut_slice().iter_mut().zip(embedding) {
+            *o = *x as f32;
+        }
+        t
     }
 
     /// Teacher-forced loss of one example; returns the scalar loss ref.
     fn example_loss(&self, tape: &mut Tape, example: &TrainExample) -> kgpip_nn::Result<TensorRef> {
         let ds_input = tape.input(self.ds_tensor(&example.dataset_embedding));
         let decisions = decisions_for(&example.graph.types, &example.graph.edges);
+        let anchor = example
+            .graph
+            .types
+            .first()
+            .copied()
+            .ok_or_else(|| kgpip_nn::NnError::Shape("training graph has no nodes".into()))?;
         let mut partial = TypedGraph {
-            types: vec![example.graph.types[0]],
+            types: vec![anchor],
             edges: Vec::new(),
         };
         let mut losses: Vec<TensorRef> = Vec::new();
@@ -408,11 +420,27 @@ impl GraphGenerator {
                 }
             }
         }
-        let mut total = losses[0];
-        for l in &losses[1..] {
-            total = tape.add(total, *l)?;
+        let count = losses.len();
+        let mut terms = losses.into_iter();
+        let first = terms
+            .next()
+            .ok_or_else(|| kgpip_nn::NnError::Shape("training graph has no decisions".into()))?;
+        let mut total = first;
+        for l in terms {
+            total = tape.add(total, l)?;
         }
-        Ok(tape.scale(total, 1.0 / losses.len() as f32))
+        Ok(tape.scale(total, 1.0 / count as f32))
+    }
+
+    /// Teacher-forced loss and parameter gradients of one example.
+    fn example_grad(
+        &self,
+        tape: &mut Tape,
+        example: &TrainExample,
+    ) -> kgpip_nn::Result<ExampleGrad> {
+        let loss = self.example_loss(tape, example)?;
+        let value = tape.value(loss).get(0, 0);
+        Ok((value, tape.backward(loss)?))
     }
 
     /// Teacher-forced loss and parameter gradients for each example index
@@ -422,13 +450,10 @@ impl GraphGenerator {
     fn forward_chunk(&self, idxs: &[usize], examples: &[TrainExample]) -> Vec<ExampleGrad> {
         let mut tape = Tape::new(&self.store);
         idxs.iter()
-            .map(|&i| {
+            .filter_map(|&i| examples.get(i))
+            .map(|example| {
                 tape.reset();
-                let loss = self
-                    .example_loss(&mut tape, &examples[i])
-                    .expect("training graph shapes are internally consistent");
-                let value = tape.value(loss).get(0, 0);
-                (value, tape.backward(loss).expect("loss is scalar"))
+                shapes_hold(self.example_grad(&mut tape, example))
             })
             .collect()
     }
@@ -522,11 +547,10 @@ impl GraphGenerator {
     fn eval_chunk(&self, idxs: &[usize], examples: &[TrainExample]) -> Vec<f32> {
         let mut tape = Tape::new(&self.store);
         idxs.iter()
-            .map(|&i| {
+            .filter_map(|&i| examples.get(i))
+            .map(|example| {
                 tape.reset();
-                let loss = self
-                    .example_loss(&mut tape, &examples[i])
-                    .expect("evaluation graph shapes are internally consistent");
+                let loss = shapes_hold(self.example_loss(&mut tape, example));
                 tape.value(loss).get(0, 0)
             })
             .collect()
@@ -535,6 +559,12 @@ impl GraphGenerator {
     /// Generates one graph conditionally from a prefix subgraph and a
     /// dataset content embedding. `temperature` > 1 flattens the decision
     /// distributions (more exploration); 1.0 samples the model faithfully.
+    ///
+    /// Runs on the forward-only engine ([`crate::infer`]). Its kernels
+    /// cannot fail for a generator built by [`GraphGenerator::new`] or
+    /// [`GraphGenerator::from_params`] and a prefix over its vocabulary;
+    /// if one does (say, a prefix type id outside the vocabulary), the
+    /// prefix comes back unchanged with a `-inf` score.
     pub fn generate(
         &self,
         dataset_embedding: &[f64],
@@ -542,15 +572,120 @@ impl GraphGenerator {
         temperature: f64,
         rng: &mut StdRng,
     ) -> GeneratedGraph {
-        let ds = self.ds_tensor(dataset_embedding);
-        let mut tape = Tape::new(&self.store);
-        self.generate_with_tape(&mut tape, &ds, prefix, temperature, rng)
+        let mut scratch = Scratch::default();
+        Engine::new(self, dataset_embedding, prefix, &mut scratch)
+            .and_then(|engine| engine.sample(&mut scratch, temperature, rng))
+            .unwrap_or_else(|_| GeneratedGraph {
+                graph: prefix.clone(),
+                log_prob: f64::NEG_INFINITY,
+            })
     }
 
-    /// The autoregressive sampling loop. Every add-node / add-edge /
-    /// pick-source decision resets `tape` and reuses its buffer pool, so
-    /// one generation run performs a bounded number of heap allocations
-    /// regardless of decision count.
+    /// Generates `k` graphs (deduplicated by structure, ranked by score) —
+    /// the top-K predicted pipelines of §3.6.
+    ///
+    /// # Sampling budget and determinism
+    ///
+    /// The budget is `attempts = (k·4).max(8)` sampled candidates. Attempt
+    /// `i` draws from its own RNG stream seeded with
+    /// `seed ⊕ (i · GOLDEN)`, so each attempt's graph is a pure function
+    /// of `(seed, i)` — never of worker count or of which attempts ran
+    /// before it. Attempts are processed in fixed waves of [`SAMPLE_WAVE`]
+    /// (parallelized over `config.parallelism` workers, merged in attempt
+    /// order); when `config.distinct_target` is `Some(t)`, sampling stops
+    /// at the first wave boundary with `t` distinct graphs collected,
+    /// otherwise the whole budget is spent. Both the candidate set and the
+    /// early-exit point are therefore bit-for-bit identical at any worker
+    /// count (proven by `tests/determinism.rs`).
+    ///
+    /// The dataset projection, the prefix's node states and the first
+    /// add-node distribution are computed once per call and shared by all
+    /// attempts ([`crate::infer`]). An attempt whose kernels fail (see
+    /// [`GraphGenerator::generate`]) is dropped, so the result may hold
+    /// fewer than `k` graphs. Ranking uses a total order: a NaN score
+    /// ranks last instead of aborting the call.
+    pub fn generate_top_k(
+        &self,
+        dataset_embedding: &[f64],
+        prefix: &TypedGraph,
+        k: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<GeneratedGraph> {
+        let attempts = (k * 4).max(8);
+        let mut scratch = Scratch::default();
+        let Ok(engine) = Engine::new(self, dataset_embedding, prefix, &mut scratch) else {
+            return Vec::new();
+        };
+        let pool = self.worker_pool();
+        let attempt_rng =
+            |attempt: u64| StdRng::seed_from_u64(seed ^ attempt.wrapping_mul(RNG_STREAM_GOLDEN));
+        let mut out: Vec<GeneratedGraph> = Vec::new();
+        let mut next = 0usize;
+        while next < attempts {
+            let wave: Vec<u64> = (next..(next + SAMPLE_WAVE).min(attempts))
+                .map(|i| i as u64)
+                .collect();
+            next += wave.len();
+            let sampled: Vec<kgpip_nn::Result<GeneratedGraph>> = match &pool {
+                Some(pool) => pool.install(|| {
+                    wave.par_iter()
+                        .map(|&i| {
+                            engine.sample(&mut Scratch::default(), temperature, &mut attempt_rng(i))
+                        })
+                        .collect()
+                }),
+                None => wave
+                    .iter()
+                    .map(|&i| engine.sample(&mut scratch, temperature, &mut attempt_rng(i)))
+                    .collect(),
+            };
+            for g in sampled.into_iter().flatten() {
+                if !out.iter().any(|o| o.graph == g.graph) {
+                    out.push(g);
+                }
+            }
+            if self.config.distinct_target.is_some_and(|t| out.len() >= t) {
+                break;
+            }
+        }
+        out.sort_by(|a, b| rank_key(b.log_prob).total_cmp(&rank_key(a.log_prob)));
+        out.truncate(k);
+        out
+    }
+}
+
+/// The descending-rank key of a graph score: NaN maps to `-inf` (ranked
+/// last, ties kept in attempt order by the stable sort) and `-0.0` to
+/// `+0.0`, so `total_cmp` on keys orders every non-NaN score exactly as
+/// `partial_cmp` does.
+fn rank_key(score: f64) -> f64 {
+    if score.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        score + 0.0
+    }
+}
+
+/// Unwraps a teacher-forced forward pass. Training and evaluation build
+/// every tensor from the config that registered the parameters and from
+/// graphs whose decisions `decisions_for` derived, so the pass cannot
+/// fail on a shape.
+fn shapes_hold<T>(pass: kgpip_nn::Result<T>) -> T {
+    // xlint: allow(panic-in-serve-path): training/evaluation only (train, evaluate); serving samples through infer.rs, which returns every error
+    pass.expect("training graph shapes are internally consistent")
+}
+
+// The worker-count clamp moved to the bottom crate so every parallel
+// stage (embeddings, trial evaluation, mining) can consult one canonical
+// definition; re-exported here under its historical path.
+pub use kgpip_tabular::effective_parallelism;
+
+/// The taped sampling loop the forward-only engine replaced, kept only as
+/// the test oracle: every decision resets a tape and re-runs the full
+/// forward pass over the partial graph.
+#[cfg(test)]
+impl GraphGenerator {
     fn generate_with_tape<'s>(
         &'s self,
         tape: &mut Tape<'s>,
@@ -559,6 +694,8 @@ impl GraphGenerator {
         temperature: f64,
         rng: &mut StdRng,
     ) -> GeneratedGraph {
+        use crate::infer::{sample_softmax, sigmoid};
+        use rand::Rng;
         let mut graph = prefix.clone();
         let mut log_prob = 0.0f64;
         let stop_class = self.config.vocab_size;
@@ -567,10 +704,8 @@ impl GraphGenerator {
             let (choice, lp) = {
                 tape.reset();
                 let ds = tape.input_from(ds_tensor);
-                let logits = self
-                    .addnode_logits(tape, &graph, ds)
-                    .expect("generation shapes are internally consistent");
-                sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng)
+                let logits = self.addnode_logits(tape, &graph, ds).unwrap();
+                sample_softmax(tape.value(logits).row(0), temperature, &mut [], rng).unwrap()
             };
             log_prob += lp;
             if choice == stop_class {
@@ -584,9 +719,7 @@ impl GraphGenerator {
                 let (add, lp) = {
                     tape.reset();
                     let ds = tape.input_from(ds_tensor);
-                    let logit = self
-                        .addedge_logit(tape, &graph, ds)
-                        .expect("generation shapes are internally consistent");
+                    let logit = self.addedge_logit(tape, &graph, ds).unwrap();
                     let p = sigmoid(tape.value(logit).get(0, 0) as f64 / temperature);
                     let add = rng.gen::<f64>() < p;
                     (
@@ -612,10 +745,9 @@ impl GraphGenerator {
                 let (source, lp) = {
                     tape.reset();
                     let ds = tape.input_from(ds_tensor);
-                    let logits = self
-                        .pick_logits(tape, &graph, ds)
-                        .expect("generation shapes are internally consistent");
+                    let logits = self.pick_logits(tape, &graph, ds).unwrap();
                     sample_softmax(tape.value(logits).row(0), temperature, &mut masked, rng)
+                        .unwrap()
                 };
                 log_prob += lp;
                 graph.edges.push((source, newest));
@@ -628,23 +760,21 @@ impl GraphGenerator {
         GeneratedGraph { graph, log_prob }
     }
 
-    /// Generates `k` graphs (deduplicated by structure, ranked by score) —
-    /// the top-K predicted pipelines of §3.6.
-    ///
-    /// # Sampling budget and determinism
-    ///
-    /// The budget is `attempts = (k·4).max(8)` sampled candidates. Attempt
-    /// `i` draws from its own RNG stream seeded with
-    /// `seed ⊕ (i · GOLDEN)`, so each attempt's graph is a pure function
-    /// of `(seed, i)` — never of worker count or of which attempts ran
-    /// before it. Attempts are processed in fixed waves of [`SAMPLE_WAVE`]
-    /// (parallelized over `config.parallelism` workers, merged in attempt
-    /// order); when `config.distinct_target` is `Some(t)`, sampling stops
-    /// at the first wave boundary with `t` distinct graphs collected,
-    /// otherwise the whole budget is spent. Both the candidate set and the
-    /// early-exit point are therefore bit-for-bit identical at any worker
-    /// count (proven by `tests/determinism.rs`).
-    pub fn generate_top_k(
+    /// [`GraphGenerator::generate`] on the tape.
+    fn generate_tape(
+        &self,
+        dataset_embedding: &[f64],
+        prefix: &TypedGraph,
+        temperature: f64,
+        rng: &mut StdRng,
+    ) -> GeneratedGraph {
+        let ds = self.ds_tensor(dataset_embedding);
+        let mut tape = Tape::new(&self.store);
+        self.generate_with_tape(&mut tape, &ds, prefix, temperature, rng)
+    }
+
+    /// [`GraphGenerator::generate_top_k`] on the tape, sequentially.
+    fn generate_top_k_tape(
         &self,
         dataset_embedding: &[f64],
         prefix: &TypedGraph,
@@ -653,29 +783,20 @@ impl GraphGenerator {
         seed: u64,
     ) -> Vec<GeneratedGraph> {
         let attempts = (k * 4).max(8);
-        let pool = self.worker_pool();
         let ds = self.ds_tensor(dataset_embedding);
-        let run_attempt = |attempt: u64| -> GeneratedGraph {
-            let mut rng = StdRng::seed_from_u64(seed ^ attempt.wrapping_mul(RNG_STREAM_GOLDEN));
-            let mut tape = Tape::new(&self.store);
-            self.generate_with_tape(&mut tape, &ds, prefix, temperature, &mut rng)
-        };
         let mut out: Vec<GeneratedGraph> = Vec::new();
         let mut next = 0usize;
         while next < attempts {
-            let wave: Vec<u64> = (next..(next + SAMPLE_WAVE).min(attempts))
-                .map(|i| i as u64)
-                .collect();
-            next += wave.len();
-            let sampled: Vec<GeneratedGraph> = match &pool {
-                Some(pool) => pool.install(|| wave.par_iter().map(|&i| run_attempt(i)).collect()),
-                None => wave.iter().map(|&i| run_attempt(i)).collect(),
-            };
-            for g in sampled {
+            let wave_end = (next + SAMPLE_WAVE).min(attempts);
+            for attempt in next as u64..wave_end as u64 {
+                let mut rng = StdRng::seed_from_u64(seed ^ attempt.wrapping_mul(RNG_STREAM_GOLDEN));
+                let mut tape = Tape::new(&self.store);
+                let g = self.generate_with_tape(&mut tape, &ds, prefix, temperature, &mut rng);
                 if !out.iter().any(|o| o.graph == g.graph) {
                     out.push(g);
                 }
             }
+            next = wave_end;
             if self.config.distinct_target.is_some_and(|t| out.len() >= t) {
                 break;
             }
@@ -686,63 +807,10 @@ impl GraphGenerator {
     }
 }
 
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-// The worker-count clamp moved to the bottom crate so every parallel
-// stage (embeddings, trial evaluation, mining) can consult one canonical
-// definition; re-exported here under its historical path.
-pub use kgpip_tabular::effective_parallelism;
-
-/// Temperature softmax sample over logits with class masking. Returns
-/// `(choice, log probability of the choice at temperature 1)`.
-fn sample_softmax(
-    logits: &[f32],
-    temperature: f64,
-    masked: &mut [usize],
-    rng: &mut StdRng,
-) -> (usize, f64) {
-    let n = logits.len();
-    masked.sort_unstable();
-    let allowed: Vec<usize> = (0..n)
-        .filter(|i| masked.binary_search(i).is_err())
-        .collect();
-    debug_assert!(!allowed.is_empty());
-    let max = allowed
-        .iter()
-        .map(|&i| logits[i] as f64)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = allowed
-        .iter()
-        .map(|&i| ((logits[i] as f64 - max) / temperature).exp())
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut draw = rng.gen::<f64>() * total;
-    let mut pick = allowed.len() - 1;
-    for (j, w) in weights.iter().enumerate() {
-        draw -= w;
-        if draw <= 0.0 {
-            pick = j;
-            break;
-        }
-    }
-    let choice = allowed[pick];
-    // Report the temperature-1 log-prob for comparable scores across
-    // temperatures.
-    let lse: f64 = {
-        let s: f64 = allowed
-            .iter()
-            .map(|&i| (logits[i] as f64 - max).exp())
-            .sum();
-        max + s.ln()
-    };
-    (choice, logits[choice] as f64 - lse)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::sample_softmax;
 
     /// A tiny deterministic corpus: dataset A always uses
     /// [read_csv -> standard_scaler -> xgboost], dataset B always uses
@@ -914,8 +982,231 @@ mod tests {
     fn sample_softmax_masks_and_normalizes() {
         let mut rng = StdRng::seed_from_u64(1);
         // Class 1 has overwhelming logit but is masked.
-        let (choice, lp) = sample_softmax(&[0.0, 100.0, 0.1], 1.0, &mut [1], &mut rng);
+        let (choice, lp) = sample_softmax(&[0.0, 100.0, 0.1], 1.0, &mut [1], &mut rng).unwrap();
         assert_ne!(choice, 1);
         assert!(lp <= 0.0);
+        // Every class masked (or none to draw from): no sample, no panic.
+        assert_eq!(
+            sample_softmax(&[0.5, 0.2], 1.0, &mut [1, 0], &mut rng),
+            None
+        );
+        assert_eq!(sample_softmax(&[], 1.0, &mut [], &mut rng), None);
+    }
+
+    #[test]
+    fn malformed_prefixes_degrade_without_panicking() {
+        let generator = GraphGenerator::new(GeneratorConfig {
+            hidden: 8,
+            prop_rounds: 2,
+            ..GeneratorConfig::default()
+        });
+        let emb = vec![0.1; 48];
+        let out_of_vocab = TypedGraph {
+            types: vec![0, 10_000],
+            edges: vec![(0, 1)],
+        };
+        let dangling_edge = TypedGraph {
+            types: vec![0, 1],
+            edges: vec![(0, 5)],
+        };
+        let empty = TypedGraph {
+            types: vec![],
+            edges: vec![],
+        };
+        for prefix in [out_of_vocab, dangling_edge, empty] {
+            assert!(generator
+                .generate_top_k(&emb, &prefix, 3, 1.0, 1)
+                .is_empty());
+            let g = generator.generate(&emb, &prefix, 1.0, &mut StdRng::seed_from_u64(0));
+            assert_eq!(g.graph, prefix);
+            assert_eq!(g.log_prob, f64::NEG_INFINITY);
+        }
+    }
+
+    #[test]
+    fn nan_scores_rank_last_and_keep_finite_order() {
+        let scores = [-1.5, f64::NAN, -0.25, -0.0, 0.0, -7.0, f64::NAN];
+        let mut ranked: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+        ranked.sort_by(|a, b| rank_key(b.1).total_cmp(&rank_key(a.1)));
+        let order: Vec<usize> = ranked.iter().map(|(i, _)| *i).collect();
+        // ±0 tie keeps insertion order; NaNs trail in insertion order.
+        assert_eq!(order, vec![3, 4, 2, 0, 5, 1, 6]);
+        let finite: Vec<(usize, f64)> = scores
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, s)| !s.is_nan())
+            .collect();
+        let mut by_partial = finite.clone();
+        by_partial.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let mut by_total = finite;
+        by_total.sort_by(|a, b| rank_key(b.1).total_cmp(&rank_key(a.1)));
+        assert_eq!(by_partial, by_total);
+    }
+
+    /// Oracle grid: hidden ∈ {8, 12, 32} × prop_rounds ∈ {1, 2, 3}, each
+    /// untrained and trained; node/edge caps and the distinct-target early
+    /// exit alternate across the grid so both settings of each meet every
+    /// width and depth.
+    fn oracle_generators() -> Vec<(String, GraphGenerator)> {
+        let vocab = OpVocab::new();
+        let examples = corpus(&vocab);
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        for hidden in [8usize, 12, 32] {
+            for prop_rounds in [1usize, 2, 3] {
+                let small = i.is_multiple_of(2);
+                let cfg = GeneratorConfig {
+                    hidden,
+                    prop_rounds,
+                    max_nodes: if small { 6 } else { 12 },
+                    max_edges_per_node: if small { 1 } else { 3 },
+                    distinct_target: (i % 3 == 1).then_some(3),
+                    epochs: 2,
+                    batch_size: 4,
+                    learning_rate: 0.02,
+                    seed: 100 + i as u64,
+                    ..GeneratorConfig::default()
+                };
+                let name = format!("h{hidden}r{prop_rounds}");
+                out.push((
+                    format!("{name}/untrained"),
+                    GraphGenerator::new(cfg.clone()),
+                ));
+                let mut trained = GraphGenerator::new(cfg);
+                trained.train(&examples);
+                out.push((format!("{name}/trained"), trained));
+                i += 1;
+            }
+        }
+        out
+    }
+
+    fn assert_same(engine: &[GeneratedGraph], oracle: &[GeneratedGraph], case: &str) {
+        assert_eq!(engine.len(), oracle.len(), "{case}: candidate count");
+        for (e, o) in engine.iter().zip(oracle) {
+            assert_eq!(e.graph, o.graph, "{case}: graph");
+            assert_eq!(
+                e.log_prob.to_bits(),
+                o.log_prob.to_bits(),
+                "{case}: log_prob bits"
+            );
+        }
+    }
+
+    /// The forward-only engine reproduces the taped sampling loop bit for
+    /// bit — graphs and `log_prob` bits — across widths, depths, caps,
+    /// early exit, training state, seeds, temperatures, K and worker
+    /// counts.
+    #[test]
+    fn oracle_engine_matches_tape_sampling() {
+        let vocab = OpVocab::new();
+        let prefix = TypedGraph::conditioning_prefix(&vocab);
+        let mut one_hot = vec![0.0; 48];
+        one_hot[1] = 1.0;
+        let dense: Vec<f64> = (0..48).map(|i| ((i as f64) * 0.37).cos()).collect();
+        for (name, mut generator) in oracle_generators() {
+            for (e, emb) in [&one_hot, &dense].into_iter().enumerate() {
+                for seed in [5u64, 2024] {
+                    for (k, temperature) in [(1usize, 0.8f64), (3, 1.2)] {
+                        let oracle =
+                            generator.generate_top_k_tape(emb, &prefix, k, temperature, seed);
+                        for workers in [1usize, 2, 3, 8] {
+                            generator.set_parallelism(workers);
+                            let engine =
+                                generator.generate_top_k(emb, &prefix, k, temperature, seed);
+                            let case =
+                                format!("{name}/e{e}/s{seed}/k{k}/t{temperature}/p{workers}");
+                            assert_same(&engine, &oracle, &case);
+                        }
+                        generator.set_parallelism(1);
+                    }
+                    let mut rng_engine = StdRng::seed_from_u64(seed);
+                    let mut rng_oracle = StdRng::seed_from_u64(seed);
+                    for draw in 0..3 {
+                        let engine = generator.generate(emb, &prefix, 1.0, &mut rng_engine);
+                        let oracle = generator.generate_tape(emb, &prefix, 1.0, &mut rng_oracle);
+                        let case = format!("{name}/e{e}/s{seed}/generate#{draw}");
+                        assert_same(&[engine], &[oracle], &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A prefix that already fills `max_nodes` samples nothing on either
+    /// path, and a single-node prefix (no read_csv) works on both.
+    #[test]
+    fn oracle_engine_matches_tape_on_edge_case_prefixes() {
+        let vocab = OpVocab::new();
+        let generator = GraphGenerator::new(GeneratorConfig {
+            hidden: 8,
+            prop_rounds: 2,
+            max_nodes: 2,
+            ..GeneratorConfig::default()
+        });
+        let full = TypedGraph::conditioning_prefix(&vocab);
+        let emb = vec![0.2; 48];
+        assert_same(
+            &generator.generate_top_k(&emb, &full, 3, 1.0, 1),
+            &generator.generate_top_k_tape(&emb, &full, 3, 1.0, 1),
+            "full prefix",
+        );
+        let generator = GraphGenerator::new(GeneratorConfig {
+            hidden: 8,
+            prop_rounds: 2,
+            ..GeneratorConfig::default()
+        });
+        let anchor_only = TypedGraph {
+            types: vec![vocab.id(PipelineOp::Dataset)],
+            edges: Vec::new(),
+        };
+        assert_same(
+            &generator.generate_top_k(&emb, &anchor_only, 3, 1.0, 1),
+            &generator.generate_top_k_tape(&emb, &anchor_only, 3, 1.0, 1),
+            "anchor-only prefix",
+        );
+    }
+
+    /// Full forward-only node states equal the taped `node_states` bit for
+    /// bit on irregular graphs (repeated types, fan-in, fan-out).
+    #[test]
+    fn oracle_node_states_match_tape() {
+        let graphs = [
+            TypedGraph {
+                types: vec![0],
+                edges: vec![],
+            },
+            TypedGraph {
+                types: vec![0, 1, 4, 4, 9],
+                edges: vec![(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (0, 4)],
+            },
+            TypedGraph {
+                types: vec![0, 1, 2, 3, 2, 1, 7],
+                edges: vec![(0, 1), (0, 2), (1, 3), (2, 5), (4, 6)],
+            },
+        ];
+        for prop_rounds in 0..=3 {
+            let generator = GraphGenerator::new(GeneratorConfig {
+                hidden: 12,
+                prop_rounds,
+                seed: 9,
+                ..GeneratorConfig::default()
+            });
+            let emb: Vec<f64> = (0..48).map(|i| (i as f64 * 0.21).sin()).collect();
+            for graph in &graphs {
+                let mut tape = Tape::new(&generator.store);
+                let ds = tape.input(generator.ds_tensor(&emb));
+                let h = generator.node_states(&mut tape, graph, ds).unwrap();
+                let states = generator
+                    .infer_node_states(&emb, graph, &mut Scratch::default())
+                    .unwrap();
+                assert_eq!(
+                    states.states(),
+                    tape.value(h),
+                    "rounds {prop_rounds}: {graph:?}"
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the graph generator.
 
 use kgpip_codegraph::OpVocab;
+use kgpip_graphgen::infer::{NodeStates, Scratch};
 use kgpip_graphgen::model::TypedGraph;
 use kgpip_graphgen::sequence::{decisions_for, Decision};
 use kgpip_graphgen::{GeneratorConfig, GraphGenerator};
@@ -26,6 +27,16 @@ fn replay(types0: usize, decisions: &[Decision]) -> TypedGraph {
         }
     }
     g
+}
+
+/// Bit patterns of the final-round node states.
+fn state_bits(states: &NodeStates) -> Vec<u32> {
+    states
+        .states()
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 proptest! {
@@ -107,5 +118,57 @@ proptest! {
         }]);
         prop_assert!(loss.is_finite());
         prop_assert!(loss > 0.0);
+    }
+
+    /// Row independence, checked directly: grow a random typed graph by
+    /// node appends and edge insertions; after every step the
+    /// incrementally refreshed node states equal a full recompute of the
+    /// same graph bit for bit, at every propagation depth.
+    #[test]
+    fn incremental_node_states_equal_full_recompute(
+        prop_rounds in 1usize..4,
+        width in 0usize..3,
+        seed in 0u64..1000,
+        emb_scale in -2.0f64..2.0,
+        types in proptest::collection::vec(0usize..20, 1..6),
+        edge_seeds in proptest::collection::vec((0usize..16, 0usize..16), 0..6),
+        steps in proptest::collection::vec((0usize..3, 0usize..16, 0usize..16, 0usize..20), 1..12),
+    ) {
+        let generator = GraphGenerator::new(GeneratorConfig {
+            hidden: [8, 12, 32][width],
+            prop_rounds,
+            seed,
+            ..GeneratorConfig::default()
+        });
+        let emb: Vec<f64> = (0..48).map(|i| emb_scale * ((i as f64) * 0.7 + seed as f64).sin()).collect();
+        let n = types.len();
+        let mut edges: Vec<(usize, usize)> = edge_seeds
+            .iter()
+            .map(|&(a, b)| (a % n, b % n))
+            .filter(|(a, b)| a < b)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut scratch = Scratch::default();
+        let mut states = generator
+            .infer_node_states(&emb, &TypedGraph { types, edges }, &mut scratch)
+            .unwrap();
+        for (kind, a, b, ty) in steps {
+            let n = states.graph().types.len();
+            if kind == 0 {
+                states.add_node(&generator, ty, &mut scratch).unwrap();
+            } else {
+                let (u, t) = (a % n, b % n);
+                let (u, t) = (u.min(t), u.max(t));
+                if u == t || states.graph().edges.contains(&(u, t)) {
+                    continue;
+                }
+                states.add_edge(&generator, u, t, &mut scratch).unwrap();
+            }
+            let full = generator
+                .infer_node_states(&emb, states.graph(), &mut Scratch::default())
+                .unwrap();
+            prop_assert_eq!(state_bits(&states), state_bits(&full));
+        }
     }
 }

@@ -1,7 +1,17 @@
 //! Layers used by the graph generator: linear, GRU cell, two-layer MLP.
+//!
+//! Each layer has two forward paths over the same parameters:
+//! * `forward` records ops on a [`Tape`] (training and evaluation);
+//! * `infer` is forward-only: it reads weights from the [`ParamStore`] by
+//!   borrow, writes into caller-owned scratch tensors and records
+//!   nothing. It replays the tape's exact f32 operation order —
+//!   `matmul_into` on a zeroed output, then the bias add, the shared
+//!   `sigmoid`/`relu` definitions, and the GRU blend as
+//!   `h + z∘(cand + (−1·h))` — so both paths agree bit for bit.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, TensorRef};
+use crate::tensor::{relu, sigmoid, Tensor};
 use crate::Result;
 use rand::rngs::StdRng;
 
@@ -33,6 +43,15 @@ impl Linear {
         let b = tape.param(self.b);
         let z = tape.matmul(x, w)?;
         tape.add_bias(z, b)
+    }
+
+    /// Forward-only `out = x·W + b` for an n×in `x` (`out` is reshaped to
+    /// n×out).
+    pub fn infer(&self, store: &ParamStore, x: &Tensor, out: &mut Tensor) -> Result<()> {
+        let w = store.value(self.w);
+        out.reset_zeros(x.rows(), w.cols());
+        x.matmul_into(w, out)?;
+        out.add_row_broadcast(store.value(self.b))
     }
 }
 
@@ -78,6 +97,58 @@ impl GruCell {
         let zd = tape.mul(z, delta)?;
         tape.add(h, zd)
     }
+
+    /// Forward-only step: `out = GRU(h, m)` for n×hidden `h` and n×input
+    /// `m`, with intermediates in `scratch`.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        h: &Tensor,
+        m: &Tensor,
+        scratch: &mut GruScratch,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        let GruScratch { joint, z, r, cand } = scratch;
+        Tensor::concat_cols_into(m, h, joint)?;
+        self.wz.infer(store, joint, z)?;
+        z.map_inplace(sigmoid);
+        self.wr.infer(store, joint, r)?;
+        r.map_inplace(sigmoid);
+        r.mul_assign(h)?;
+        Tensor::concat_cols_into(m, r, joint)?;
+        self.wh.infer(store, joint, cand)?;
+        cand.map_inplace(f32::tanh);
+        if z.len() != h.len() || cand.len() != h.len() {
+            return Err(crate::NnError::Shape(
+                "gru: state/gate width mismatch".into(),
+            ));
+        }
+        out.assign(h);
+        for ((o, zv), cv) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(z.as_slice())
+            .zip(cand.as_slice())
+        {
+            let hv = *o;
+            // `hv * -1.0`, not `-hv`: the tape's `scale(h, -1.0)`, which
+            // differs from a sign flip in the bits of a NaN.
+            #[allow(clippy::neg_multiply)]
+            let delta = cv + hv * -1.0;
+            *o = hv + zv * delta;
+        }
+        Ok(())
+    }
+}
+
+/// Reusable intermediates of [`GruCell::infer`]. Buffers grow to the
+/// largest batch they have served and are reused across calls.
+#[derive(Debug, Clone, Default)]
+pub struct GruScratch {
+    joint: Tensor,
+    z: Tensor,
+    r: Tensor,
+    cand: Tensor,
 }
 
 /// A two-layer MLP with ReLU hidden activation, used for the generator's
@@ -109,6 +180,19 @@ impl Mlp {
         let h = self.l1.forward(tape, x)?;
         let h = tape.relu(h);
         self.l2.forward(tape, h)
+    }
+
+    /// Forward-only MLP on an n×in matrix; `hidden` holds the ReLU layer.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        x: &Tensor,
+        hidden: &mut Tensor,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        self.l1.infer(store, x, hidden)?;
+        hidden.map_inplace(relu);
+        self.l2.infer(store, hidden, out)
     }
 }
 
@@ -144,6 +228,82 @@ mod tests {
         assert_eq!(tape.value(h2).cols(), 6);
         // Output stays in (-1, 1): convex combination of h and tanh cand.
         assert!(tape.value(h2).as_slice().iter().all(|v| v.abs() < 1.0));
+    }
+
+    fn filled(rows: usize, cols: usize, salt: f32) -> Tensor {
+        // Includes exact zeros so the matmul zero-skip path is exercised.
+        let data = (0..rows * cols)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0.0
+                } else {
+                    ((i as f32 + salt) * 0.73).sin()
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, rows, cols).unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn infer_kernels_match_the_tape_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut store = ParamStore::new();
+        let lin = Linear::new(&mut store, "l", 6, 5, &mut rng);
+        let gru = GruCell::new(&mut store, "g", 4, 6, &mut rng);
+        let mlp = Mlp::new(&mut store, "m", 6, 7, 3, &mut rng);
+        // Non-zero biases so the broadcast add is exercised.
+        for i in 0..store.len() {
+            let t = store.tensor_at(i).clone();
+            if t.rows() == 1 {
+                store
+                    .load_tensor_at(i, filled(1, t.cols(), i as f32))
+                    .unwrap();
+            }
+        }
+        let x = filled(3, 6, 0.5);
+        let h = filled(3, 6, 1.5);
+        let m = filled(3, 4, 2.5);
+
+        let mut tape = Tape::new(&store);
+        let (xr, hr, mr) = (
+            tape.input(x.clone()),
+            tape.input(h.clone()),
+            tape.input(m.clone()),
+        );
+        let lin_t = lin.forward(&mut tape, xr).unwrap();
+        let gru_t = gru.forward(&mut tape, hr, mr).unwrap();
+        let mlp_t = mlp.forward(&mut tape, xr).unwrap();
+
+        let mut out = Tensor::default();
+        lin.infer(&store, &x, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(tape.value(lin_t)));
+        gru.infer(&store, &h, &m, &mut GruScratch::default(), &mut out)
+            .unwrap();
+        assert_eq!(bits(&out), bits(tape.value(gru_t)));
+        mlp.infer(&store, &x, &mut Tensor::default(), &mut out)
+            .unwrap();
+        assert_eq!(bits(&out), bits(tape.value(mlp_t)));
+
+        // Row independence: any row subset through infer equals the
+        // matching rows of the full batch.
+        let mut sub = Tensor::zeros(1, 6);
+        let mut one = Tensor::default();
+        for r in 0..3 {
+            sub.row_mut(0).copy_from_slice(x.row(r));
+            mlp.infer(&store, &sub, &mut Tensor::default(), &mut one)
+                .unwrap();
+            let full: Vec<u32> = tape
+                .value(mlp_t)
+                .row(r)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(bits(&one), full);
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   aggregation), softmax cross-entropy and sigmoid BCE losses; backed by a
 //!   [`BufferPool`] so `Tape::reset` reuses allocations across passes,
 //! * [`ParamStore`] — named parameter storage with Xavier initialization,
-//! * [`layers`] — `Linear`, `GruCell`, `Mlp` built on the tape,
+//! * [`layers`] — `Linear`, `GruCell`, `Mlp`, each with a taped `forward`
+//!   and a forward-only `infer` that replays the tape's f32 op order,
 //! * [`Adam`] — the optimizer used for generator training.
 //!
 //! Gradient correctness is enforced by finite-difference tests on every
@@ -28,7 +29,7 @@ pub mod params;
 pub mod tape;
 pub mod tensor;
 
-pub use layers::{GruCell, Linear, Mlp};
+pub use layers::{GruCell, GruScratch, Linear, Mlp};
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
 pub use tape::{BufferPool, Tape, TensorRef};

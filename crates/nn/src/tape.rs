@@ -18,7 +18,7 @@
 //! a freshly constructed one.
 
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{relu, sigmoid, Tensor};
 use crate::{NnError, Result};
 use std::collections::BTreeMap;
 
@@ -247,47 +247,15 @@ impl<'a> Tape<'a> {
 
     /// Adds a 1×c bias row to every row of `a`.
     pub fn add_bias(&mut self, a: TensorRef, bias: TensorRef) -> Result<TensorRef> {
-        {
-            let at = &self.values[a.0];
-            let bt = &self.values[bias.0];
-            if bt.rows() != 1 || bt.cols() != at.cols() {
-                return Err(NnError::Shape(format!(
-                    "add_bias: bias {}x{} for value {}x{}",
-                    bt.rows(),
-                    bt.cols(),
-                    at.rows(),
-                    at.cols()
-                )));
-            }
-        }
         let mut v = self.alloc_copy_idx(a.0);
-        let bt = &self.values[bias.0];
-        for r in 0..v.rows() {
-            for (o, b) in v.row_mut(r).iter_mut().zip(bt.row(0)) {
-                *o += b;
-            }
-        }
+        v.add_row_broadcast(&self.values[bias.0])?;
         Ok(self.push(v, Op::AddBias(a.0, bias.0)))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: TensorRef, b: TensorRef) -> Result<TensorRef> {
-        {
-            let at = &self.values[a.0];
-            let bt = &self.values[b.0];
-            if at.rows() != bt.rows() || at.cols() != bt.cols() {
-                return Err(NnError::Shape("mul: shape mismatch".into()));
-            }
-        }
-        let at = &self.values[a.0];
-        let mut buf = self.pool.take_empty(at.len());
-        buf.extend(
-            at.as_slice()
-                .iter()
-                .zip(self.values[b.0].as_slice())
-                .map(|(x, y)| x * y),
-        );
-        let v = Tensor::from_vec(buf, at.rows(), at.cols())?;
+        let mut v = self.alloc_copy_idx(a.0);
+        v.mul_assign(&self.values[b.0])?;
         Ok(self.push(v, Op::Mul(a.0, b.0)))
     }
 
@@ -314,13 +282,13 @@ impl<'a> Tape<'a> {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: TensorRef) -> TensorRef {
-        let v = self.alloc_map(a.0, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.alloc_map(a.0, sigmoid);
         self.push(v, Op::Sigmoid(a.0))
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: TensorRef) -> TensorRef {
-        let v = self.alloc_map(a.0, |x| x.max(0.0));
+        let v = self.alloc_map(a.0, relu);
         self.push(v, Op::Relu(a.0))
     }
 
@@ -380,12 +348,7 @@ impl<'a> Tape<'a> {
     /// Sums all rows into a 1×c vector.
     pub fn sum_rows(&mut self, a: TensorRef) -> TensorRef {
         let mut v = self.alloc_zeroed(1, self.values[a.0].cols());
-        let at = &self.values[a.0];
-        for r in 0..at.rows() {
-            for (o, x) in v.row_mut(0).iter_mut().zip(at.row(r)) {
-                *o += x;
-            }
-        }
+        self.values[a.0].sum_rows_into(&mut v);
         self.push(v, Op::SumRows(a.0))
     }
 

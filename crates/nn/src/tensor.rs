@@ -13,8 +13,23 @@ const MM_BLOCK: usize = 64;
 /// in ascending-`k` order, so lane count never changes results.
 const BT_LANES: usize = 8;
 
+/// The logistic sigmoid `1/(1+e^-x)` — the one definition shared by the
+/// tape's `sigmoid` op and the forward-only `infer` kernels, so both
+/// round identically.
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// ReLU `max(x, 0)`, shared by the tape and the `infer` kernels.
+#[inline]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
 /// A dense row-major matrix of `f32`. Vectors are 1×n or n×1 matrices.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The default is the empty 0×0 matrix (a scratch buffer before first use).
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tensor {
     data: Vec<f32>,
     rows: usize,
@@ -92,6 +107,16 @@ impl Tensor {
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Row `r`, or `None` when out of range.
+    #[inline]
+    pub fn get_row(&self, r: usize) -> Option<&[f32]> {
+        if r < self.rows {
+            self.data.get(r * self.cols..(r + 1) * self.cols)
+        } else {
+            None
+        }
     }
 
     /// Mutable borrow of row `r`.
@@ -336,6 +361,158 @@ impl Tensor {
         Ok(())
     }
 
+    /// Reshapes to `rows`×`cols` and zero-fills, keeping the allocation:
+    /// the scratch-buffer reset of the forward-only kernels.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Makes `self` a copy of `src`, keeping the allocation.
+    pub fn assign(&mut self, src: &Tensor) {
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+        self.rows = src.rows;
+        self.cols = src.cols;
+    }
+
+    /// Makes `self` the single row `[parts[0], parts[1], …]`.
+    pub fn assign_row_concat(&mut self, parts: &[&[f32]]) {
+        self.data.clear();
+        for p in parts {
+            self.data.extend_from_slice(p);
+        }
+        self.rows = 1;
+        self.cols = self.data.len();
+    }
+
+    /// Appends one row; its width must match (any width fits a 0×0
+    /// tensor, which adopts it).
+    pub fn push_row(&mut self, row: &[f32]) -> Result<()> {
+        if self.rows == 0 {
+            self.cols = row.len();
+        } else if row.len() != self.cols {
+            return Err(NnError::Shape(format!(
+                "push_row: row of width {} into {}x{}",
+                row.len(),
+                self.rows,
+                self.cols
+            )));
+        }
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Adds the 1×c `bias` row to every row (`o += b` per element — the
+    /// tape's `add_bias` kernel).
+    pub fn add_row_broadcast(&mut self, bias: &Tensor) -> Result<()> {
+        if bias.rows != 1 || bias.cols != self.cols {
+            return Err(NnError::Shape(format!(
+                "add_bias: bias {}x{} for value {}x{}",
+                bias.rows, bias.cols, self.rows, self.cols
+            )));
+        }
+        for r in 0..self.rows {
+            for (o, b) in self.row_mut(r).iter_mut().zip(&bias.data) {
+                *o += b;
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies `f` to every element in place.
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
+    }
+
+    /// Elementwise `self = self ∘ other`.
+    pub fn mul_assign(&mut self, other: &Tensor) -> Result<()> {
+        if self.rows != other.rows || self.cols != other.cols {
+            return Err(NnError::Shape("mul: shape mismatch".into()));
+        }
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a *= b;
+        }
+        Ok(())
+    }
+
+    /// Sums all rows into `out`, reshaped to 1×c: a zero row plus each
+    /// row in ascending order (the tape's `sum_rows` kernel).
+    pub fn sum_rows_into(&self, out: &mut Tensor) {
+        out.reset_zeros(1, self.cols);
+        for r in 0..self.rows {
+            for (o, x) in out.data.iter_mut().zip(self.row(r)) {
+                *o += x;
+            }
+        }
+    }
+
+    /// Writes `[a.row(r), b.row(r)]` into row `r` of `out` (reshaped to
+    /// `a.rows()`×(`a.cols()` + `b.cols()`)).
+    pub fn concat_cols_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
+        if a.rows != b.rows {
+            return Err(NnError::Shape("concat_cols: row mismatch".into()));
+        }
+        out.data.clear();
+        for r in 0..a.rows {
+            out.data.extend_from_slice(a.row(r));
+            out.data.extend_from_slice(b.row(r));
+        }
+        out.rows = a.rows;
+        out.cols = a.cols + b.cols;
+        Ok(())
+    }
+
+    /// Writes `[self.row(i), self.row(j)]` into row `e` of `out` for the
+    /// `e`-th pair `(i, j)`; `out` is reshaped to `pairs.len()`×2c and the
+    /// indices are range-checked.
+    pub fn gather_pairs_into(&self, pairs: &[(usize, usize)], out: &mut Tensor) -> Result<()> {
+        out.data.clear();
+        for &(i, j) in pairs {
+            if i >= self.rows || j >= self.rows {
+                return Err(NnError::Index(format!(
+                    "gather_pairs: rows ({i}, {j}) of {}",
+                    self.rows
+                )));
+            }
+            out.data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(j));
+        }
+        out.rows = pairs.len();
+        out.cols = 2 * self.cols;
+        Ok(())
+    }
+
+    /// Copies row `r` of `self` over row `idx[r]` of `out` for every `r`
+    /// (the inverse of [`Tensor::gather_rows_into`]). Indices are
+    /// range-checked against `out.rows()`.
+    pub fn copy_rows_to(&self, idx: &[usize], out: &mut Tensor) -> Result<()> {
+        if idx.len() != self.rows || out.cols != self.cols {
+            return Err(NnError::Shape(format!(
+                "copy_rows_to: {} indices for {} rows (width {} vs {})",
+                idx.len(),
+                self.rows,
+                out.cols,
+                self.cols
+            )));
+        }
+        for (r, &i) in idx.iter().enumerate() {
+            if i >= out.rows {
+                return Err(NnError::Index(format!(
+                    "copy_rows_to: target {i} of {}",
+                    out.rows
+                )));
+            }
+            out.row_mut(i).copy_from_slice(self.row(r));
+        }
+        Ok(())
+    }
+
     /// Consumes the tensor, releasing its backing buffer (for reuse pools).
     pub fn into_vec(self) -> Vec<f32> {
         self.data
@@ -443,6 +620,43 @@ mod tests {
         a.add_scaled(&Tensor::full(2, 2, 4.0), 0.5).unwrap();
         assert_eq!(a.as_slice(), &[3.0, 3.0, 3.0, 3.0]);
         assert!(a.add_scaled(&Tensor::zeros(1, 1), 1.0).is_err());
+    }
+
+    #[test]
+    fn scratch_row_kernels() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2).unwrap();
+        let mut pairs = Tensor::default();
+        a.gather_pairs_into(&[(2, 0), (1, 1)], &mut pairs).unwrap();
+        assert_eq!((pairs.rows(), pairs.cols()), (2, 4));
+        assert_eq!(pairs.as_slice(), &[5.0, 6.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0]);
+        assert!(a.gather_pairs_into(&[(0, 3)], &mut pairs).is_err());
+
+        let mut out = Tensor::zeros(3, 2);
+        let two = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0], 2, 2).unwrap();
+        two.copy_rows_to(&[2, 0], &mut out).unwrap();
+        assert_eq!(out.as_slice(), &[9.0, 10.0, 0.0, 0.0, 7.0, 8.0]);
+        assert!(two.copy_rows_to(&[0, 3], &mut out).is_err());
+        assert!(two.copy_rows_to(&[0], &mut out).is_err());
+
+        let mut grown = Tensor::default();
+        grown.push_row(&[1.0, 2.0]).unwrap();
+        grown.push_row(&[3.0, 4.0]).unwrap();
+        assert!(grown.push_row(&[5.0]).is_err());
+        assert_eq!(
+            (grown.rows(), grown.get_row(1)),
+            (2, Some(&[3.0f32, 4.0][..]))
+        );
+        assert_eq!(grown.get_row(2), None);
+
+        let mut sum = Tensor::default();
+        a.sum_rows_into(&mut sum);
+        assert_eq!(sum.as_slice(), &[9.0, 12.0]);
+        let mut biased = a.clone();
+        biased
+            .add_row_broadcast(&Tensor::from_vec(vec![0.5, -1.0], 1, 2).unwrap())
+            .unwrap();
+        assert_eq!(biased.get(2, 1), 5.0);
+        assert!(biased.add_row_broadcast(&Tensor::zeros(1, 3)).is_err());
     }
 
     #[test]

@@ -71,12 +71,19 @@ impl WorkspaceConfig {
             rules: COMPUTE.iter().map(|s| s.to_string()).collect(),
             panic_files: Vec::new(),
         };
+        // kgpip-graphgen: compute rules plus the serve-path panic rule on
+        // the sampling engine every served prediction runs (infer.rs) and
+        // the model file holding `generate_top_k` — a NaN score or a
+        // masked-out decision must not take down a serve worker.
+        let mut graphgen = compute("crates/graphgen");
+        graphgen.rules.push("panic-in-serve-path".to_string());
+        graphgen.panic_files = vec!["src/infer.rs".to_string(), "src/model.rs".to_string()];
         let mut crates = vec![
             compute("crates/tabular"),
             compute("crates/learners"),
             compute("crates/nn"),
             compute("crates/codegraph"),
-            compute("crates/graphgen"),
+            graphgen,
             compute("crates/hpo"),
             compute("crates/benchdata"),
             compute("crates/xlint"),
@@ -201,6 +208,16 @@ mod tests {
         assert!(embeddings.panic_file_in_scope("src/mapped.rs"));
         assert!(embeddings.panic_file_in_scope("src/pq.rs"));
         assert!(!embeddings.panic_file_in_scope("src/tsne.rs"));
+        let graphgen = cfg
+            .crates
+            .iter()
+            .find(|c| c.path == "crates/graphgen")
+            .unwrap();
+        assert!(graphgen.parsed_rules().contains(&Rule::PanicInServePath));
+        assert!(graphgen.parsed_rules().contains(&Rule::UnclampedRayon));
+        assert!(graphgen.panic_file_in_scope("src/infer.rs"));
+        assert!(graphgen.panic_file_in_scope("src/model.rs"));
+        assert!(!graphgen.panic_file_in_scope("src/sequence.rs"));
     }
 
     #[test]

@@ -19,8 +19,10 @@ cargo test --workspace -q
 echo "==> cargo bench --no-run (kernel changes must keep benches compiling)"
 cargo bench --workspace --no-run
 
-echo "==> determinism suite (parallel engine bit-for-bit reproducibility)"
+echo "==> determinism suite (parallel engine bit-for-bit reproducibility; sampling engine ≡ tape oracle ≡ golden fixture)"
 cargo test -p kgpip-graphgen --test determinism -q
+cargo test -p kgpip-graphgen --lib oracle_ -q
+cargo test -p kgpip-graphgen --test props -q
 cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
