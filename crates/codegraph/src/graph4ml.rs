@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 /// The assembled training corpus: filtered pipeline graphs grouped by the
 /// dataset they were applied to, each carrying its dataset anchor node.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct Graph4Ml {
     datasets: Vec<String>,
     /// `(dataset index, pipeline graph with dataset node at index 0)`.

@@ -114,7 +114,7 @@ impl std::fmt::Display for PipelineOp {
 
 /// The fixed node-type vocabulary for the graph generator: every op gets a
 /// dense integer id.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpVocab {
     ops: Vec<PipelineOp>,
 }

@@ -4,14 +4,14 @@
 //! assembled Graph4ML and the run's [`TrainingStats`] — exists for corpus
 //! analyses and ablations and is never consulted while answering a
 //! prediction. *Serve-time* state — generator parameters, the similarity
-//! index, the op vocabulary, the per-dataset content embeddings, and the
-//! conditioning center — is everything the paper's online path ("embed →
-//! nearest neighbour → conditional generation → HPO") touches. The
-//! [`TrainedModel`] is exactly that serve-time slice, split out as an
-//! immutable value: every read path takes `&TrainedModel`, so one
-//! `Arc<TrainedModel>` can be shared across any number of serving threads
-//! without locks, and `kgpip-serve` hot-swaps whole models atomically by
-//! replacing the `Arc`.
+//! index (which is also the store of per-dataset content embeddings), the
+//! op vocabulary, and the conditioning center — is everything the paper's
+//! online path ("embed → nearest neighbour → conditional generation →
+//! HPO") touches. The [`TrainedModel`] is exactly that serve-time slice,
+//! split out as an immutable value: every read path takes
+//! `&TrainedModel`, so one `Arc<TrainedModel>` can be shared across any
+//! number of serving threads without locks, and `kgpip-serve` hot-swaps
+//! whole models atomically by replacing the `Arc`.
 //!
 //! [`Kgpip::train`]: crate::Kgpip::train
 //! [`TrainingStats`]: crate::TrainingStats
@@ -22,7 +22,6 @@ use kgpip_codegraph::OpVocab;
 use kgpip_embeddings::{table_embedding, HnswConfig, PqConfig, VectorIndex};
 use kgpip_graphgen::GraphGenerator;
 use kgpip_tabular::DataFrame;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Amplification applied to centred conditioning embeddings.
@@ -46,8 +45,9 @@ pub struct TrainedModel {
     pub(crate) embedding_center: Vec<f64>,
     pub(crate) vocab: OpVocab,
     pub(crate) generator: GraphGenerator,
+    /// The similarity catalog — and the one store of per-dataset content
+    /// embeddings, read back by name or by the id a search returned.
     pub(crate) index: VectorIndex,
-    pub(crate) embeddings: HashMap<String, Vec<f64>>,
 }
 
 impl TrainedModel {
@@ -69,9 +69,10 @@ impl TrainedModel {
         &self.generator
     }
 
-    /// Content embedding of a training dataset, if known.
+    /// Content embedding of a cataloged dataset, if known — looked up in
+    /// the similarity index by a linear scan of its names.
     pub fn embedding_of(&self, dataset: &str) -> Option<&[f64]> {
-        self.embeddings.get(dataset).map(Vec::as_slice)
+        self.index.vector(self.index.id_of(dataset)?)
     }
 
     /// The conditioning center (mean training-dataset embedding).
@@ -91,27 +92,26 @@ impl TrainedModel {
     }
 
     /// Registers an unseen dataset in the similarity catalog online:
-    /// embeds `frame` by content, extends the active index tier
+    /// embeds `frame` by content and extends the active index tier
     /// incrementally (`VectorIndex::register` — an HNSW graph takes an
-    /// insert, IVF assigns to its nearest centroid; no retrain), and
-    /// stores the embedding for future conditional generation. Returns
-    /// the stored embedding.
+    /// insert; no retrain). The index then holds the embedding for
+    /// future conditional generation. Returns the stored embedding.
     ///
     /// The conditioning center is deliberately *not* recomputed: it is a
     /// training-time statistic, and shifting it would perturb generation
     /// for every existing dataset. Retraining refreshes it.
     ///
     /// Errors with [`KgpipError::DuplicateDataset`] when `name` is
-    /// already cataloged. Note this mutates the model — serving stacks
-    /// clone the current artifact, register, and hot-swap (see
-    /// `kgpip-serve`'s `register_dataset`).
+    /// already cataloged (a linear scan of the catalog's names). Note
+    /// this mutates the model — serving stacks clone the current
+    /// artifact, register, and hot-swap (see `kgpip-serve`'s
+    /// `register_dataset`), so the scan adds no new order of cost.
     pub fn register_dataset(&mut self, name: &str, frame: &DataFrame) -> Result<Vec<f64>> {
-        if self.embeddings.contains_key(name) {
+        if self.index.id_of(name).is_some() {
             return Err(KgpipError::DuplicateDataset(name.to_string()));
         }
         let embedding = table_embedding(frame);
         self.index.register(name, embedding.clone());
-        self.embeddings.insert(name.to_string(), embedding.clone());
         Ok(embedding)
     }
 

@@ -93,12 +93,13 @@ pub enum KgpipError {
     Tabular(kgpip_tabular::TabularError),
     /// Saving or loading a trained model failed.
     Persistence(String),
-    /// The trained artifact's internal tables disagree with each other
-    /// (e.g. the similarity index names a dataset the embedding store
-    /// does not hold) — a corrupted or hand-edited model file.
+    /// The trained artifact cannot take the requested shape (e.g. its
+    /// catalog vectors have mixed dimensions, so the index cannot be
+    /// quantized).
     InconsistentArtifact(String),
-    /// An online registration named a dataset the catalog already holds;
-    /// re-registering would shadow the original's embedding.
+    /// A training table or an online registration named a dataset the
+    /// catalog already holds; a second entry would shadow the first's
+    /// embedding.
     DuplicateDataset(String),
 }
 

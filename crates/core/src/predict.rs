@@ -127,9 +127,9 @@ impl TrainedModel {
     /// Finds the nearest training dataset `(name, similarity)` for an
     /// already-computed query embedding, through whichever similarity
     /// tier `Kgpip::train`'s auto-tuning selected for the catalog size:
-    /// exact scan below `VectorIndex::IVF_AUTO_THRESHOLD`, IVF probing
-    /// up to `VectorIndex::HNSW_AUTO_THRESHOLD`, and the deterministic
-    /// HNSW graph beyond it (`VectorIndex::search` dispatches).
+    /// exact scan below `VectorIndex::HNSW_AUTO_THRESHOLD`, the
+    /// deterministic HNSW graph at and above it (`VectorIndex::search`
+    /// dispatches).
     ///
     /// Errors with [`KgpipError::EmptyCatalog`] when the model has no
     /// training datasets — a state a server must report, not panic on.
@@ -191,27 +191,18 @@ impl TrainedModel {
         capabilities_json: &str,
         seed: u64,
     ) -> Result<(Vec<(Skeleton, f64)>, String)> {
-        let (neighbour, _) = self.nearest_by_embedding(query)?;
         // Seed generation with the *neighbour's* stored content embedding
         // (§3.5: generation starts from "the closest seen dataset node —
-        // more specifically, its content embedding"). The index and the
-        // embedding store are built together by `Kgpip::train`, but a
-        // hand-edited model file can desynchronize them — a state a
-        // server must report, not panic on.
-        let embedding = self
-            .embeddings
-            .get(&neighbour)
-            .ok_or_else(|| {
-                KgpipError::InconsistentArtifact(format!(
-                    "similarity index returned dataset `{neighbour}` but the embedding store has no entry for it"
-                ))
-            })?
-            .clone();
-        let skeletons =
-            self.predict_with_embedding(&embedding, task, k, capabilities_json, seed)?;
-        Ok((skeletons, neighbour))
-        // (predict_with_embedding centres the vector; passing the raw
-        // stored embedding here keeps the two paths consistent.)
+        // more specifically, its content embedding"), read from the index
+        // by the id the search found. predict_with_embedding centres the
+        // vector; passing the raw stored embedding keeps the two paths
+        // consistent.
+        let hit = self.index.search_ids(query, 1).into_iter().next();
+        let (neighbour, embedding) = hit
+            .and_then(|(id, _)| Some((self.index.name(id)?, self.index.vector(id)?)))
+            .ok_or(KgpipError::EmptyCatalog)?;
+        let skeletons = self.predict_with_embedding(embedding, task, k, capabilities_json, seed)?;
+        Ok((skeletons, neighbour.to_string()))
     }
 
     /// Like [`TrainedModel::predict_skeletons`] but with an explicit
@@ -647,34 +638,11 @@ mod tests {
         let (name, sim) = model.nearest_dataset(&ds).unwrap();
         assert!(name == "alpha" || name == "beta");
         assert!(sim > 0.5);
-    }
-
-    /// The `nearest_dataset` lookup runs through `VectorIndex::search`;
-    /// above the auto-tune threshold, the trained IVF partitioning must
-    /// choose the same neighbour as an exact scan on a synthetic dataset
-    /// catalog.
-    #[test]
-    fn ivf_lookup_agrees_with_exact_on_synthetic_catalog() {
-        use kgpip_embeddings::{table_embedding, IndexTier, VectorIndex};
-        let catalog = VectorIndex::IVF_AUTO_THRESHOLD + 22;
-        let mut index = VectorIndex::new();
-        for d in 0..catalog {
-            let e = table_embedding(&table_like(d as f64 * 3.0, 24 + d % 9));
-            index.add(format!("ds{d}"), e);
-        }
-        assert_eq!(
-            index.auto_tune(0),
-            IndexTier::Ivf,
-            "catalog exceeds the IVF threshold"
-        );
-        for q in 0..24 {
-            let query = table_embedding(&table_like(q as f64 * 19.0 + 1.5, 31));
-            let exact = index.top_k(&query, 1);
-            let ivf = index.search(&query, 1);
-            assert_eq!(
-                exact[0].0, ivf[0].0,
-                "query {q}: IVF neighbour diverged from exact"
-            );
-        }
+        // Generation is conditioned on that neighbour's own stored vector.
+        let caps = Flaml::new(0).capabilities();
+        let (direct, neighbour) = model.predict_skeletons(&ds, 3, &caps, 5).unwrap();
+        let stored = model.embedding_of(&neighbour).unwrap();
+        let via = model.predict_with_embedding(stored, ds.task, 3, &caps, 5);
+        assert_eq!(direct, via.unwrap());
     }
 }

@@ -1,14 +1,12 @@
-//! The versioned binary snapshot format for [`TrainedModel`] artifacts.
+//! The versioned binary snapshot format for [`TrainedModel`] artifacts —
+//! the one persistence format of a trained model.
 //!
-//! JSON persistence (the [`Kgpip::save`] compatibility path) re-parses
-//! every parameter scalar through a text representation — fine for
-//! reproduction runs, wrong for a serving fleet that reloads models behind
-//! traffic. The snapshot format is a flat, little-endian, single-pass
-//! layout:
+//! A flat, little-endian, single-pass layout, framed and decoded with the
+//! shared bounds-checked codec ([`kgpip_embeddings::codec`]):
 //!
 //! ```text
 //! magic  b"KGPS"                      (4 bytes)
-//! u32    format version               (currently 3)
+//! u32    format version               (currently 4)
 //! then length-prefixed sections until end of input:
 //!   u32 tag, u64 payload length, payload bytes
 //!     tag 1  system config            (KgpipConfig, JSON — tiny)
@@ -17,41 +15,43 @@
 //!     tag 4  generator                (JSON GeneratorConfig + raw f32
 //!                                      parameter tensors in registration
 //!                                      order)
-//!     tag 5  similarity index         (VectorIndex::to_bytes payload)
-//!     tag 6  per-dataset embeddings   (u64 count + name + f64 vector)
+//!     tag 5  similarity index         (a whole `KGVI` catalog:
+//!                                      VectorIndex::to_mapped_bytes)
 //! ```
 //!
-//! Versioning rules: readers accept exactly the versions they know;
-//! *unknown section tags* within a known version are skipped (room for
-//! additive sections without a version bump), while any layout change to
-//! an existing section requires bumping [`Snapshot::FORMAT_VERSION`]. The
-//! vocabulary section exists purely as a guard — type ids in the generator
-//! parameters are meaningless if the op vocabulary ever drifts, so loading
-//! fails loudly instead of decoding garbage pipelines.
+//! The index section is the catalog's only vector store: a dataset's
+//! content embedding is read back from the index by name or by the id a
+//! search returned, so there is no second name → vector table to keep in
+//! sync.
 //!
-//! Version history: v2 extended the tag-5 index payload with an optional
-//! trailing HNSW graph block; v3 appended an optional product-quantized
-//! store (codebooks + code matrix) after it. `VectorIndex::from_bytes`
-//! tolerates each tail's absence, so this build still reads v1 and v2
-//! snapshots; it always writes v3.
+//! Versioning rules: readers accept exactly the version they know;
+//! *unknown section tags* within it are skipped (room for additive
+//! sections without a version bump), while any layout change to an
+//! existing section requires bumping [`Snapshot::FORMAT_VERSION`]. The
+//! vocabulary section exists purely as a guard — type ids in the
+//! generator parameters are meaningless if the op vocabulary ever drifts,
+//! so loading fails loudly instead of decoding garbage pipelines.
 //!
-//! [`Kgpip::save`]: crate::Kgpip::save
+//! Version history: v2 appended an optional HNSW graph to the tag-5 index
+//! payload and v3 an optional product-quantized store after it; v1–v3
+//! also carried a tag-6 name → embedding table. v4 replaced the tag-5
+//! payload with the `KGVI` layout and dropped tag 6. This build reads
+//! and writes v4 only.
 
 use crate::artifact::TrainedModel;
-use crate::train::{Kgpip, KgpipConfig};
+use crate::train::KgpipConfig;
 use crate::{KgpipError, Result};
 use kgpip_codegraph::OpVocab;
+use kgpip_embeddings::codec::{write_f64s, write_section, write_str, write_u32, write_u64, Reader};
 use kgpip_embeddings::VectorIndex;
 use kgpip_graphgen::{GeneratorConfig, GraphGenerator};
 use kgpip_nn::Tensor;
-use std::collections::HashMap;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_CENTER: u32 = 2;
 const TAG_VOCAB: u32 = 3;
 const TAG_GENERATOR: u32 = 4;
 const TAG_INDEX: u32 = 5;
-const TAG_EMBEDDINGS: u32 = 6;
 
 /// A parsed model snapshot: the format version it was written with plus
 /// the decoded artifact.
@@ -66,26 +66,23 @@ pub struct Snapshot {
 impl Snapshot {
     /// File magic identifying a KGpip binary snapshot.
     pub const MAGIC: [u8; 4] = *b"KGPS";
-    /// The snapshot format version this build writes.
-    pub const FORMAT_VERSION: u32 = 3;
-    /// The oldest snapshot format version this build still reads (v1
-    /// lacks the HNSW tail in the index section and v2 lacks the PQ tail
-    /// after it; the index decoder tolerates both absences).
-    pub const MIN_READ_VERSION: u32 = 1;
+    /// The snapshot format version this build reads and writes.
+    pub const FORMAT_VERSION: u32 = 4;
 
     /// Parses a snapshot from bytes produced by
-    /// [`TrainedModel::snapshot_bytes`].
+    /// [`TrainedModel::snapshot_bytes`]. Total over hostile input: any
+    /// truncation, corruption or oversized length prefix is an `Err`,
+    /// and no length prefix reserves more memory than the bytes behind
+    /// it could fill.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot> {
         let mut r = Reader::new(bytes);
-        let magic = r.take(4)?;
-        if magic != Self::MAGIC {
+        if r.take(4).map_err(persist)? != Self::MAGIC {
             return Err(persist("not a KGpip snapshot (bad magic)"));
         }
-        let version = r.u32()?;
-        if !(Self::MIN_READ_VERSION..=Self::FORMAT_VERSION).contains(&version) {
+        let version = r.u32().map_err(persist)?;
+        if version != Self::FORMAT_VERSION {
             return Err(persist(format!(
-                "unsupported snapshot format version {version} (this build reads {}..={})",
-                Self::MIN_READ_VERSION,
+                "unsupported snapshot format version {version} (this build reads {})",
                 Self::FORMAT_VERSION
             )));
         }
@@ -95,62 +92,21 @@ impl Snapshot {
         let mut vocab_names: Option<Vec<String>> = None;
         let mut generator: Option<GraphGenerator> = None;
         let mut index: Option<VectorIndex> = None;
-        let mut embeddings: Option<HashMap<String, Vec<f64>>> = None;
         while !r.at_end() {
-            let tag = r.u32()?;
-            let len = r.u64()? as usize;
-            let payload = r.take(len)?;
-            let mut s = Reader::new(payload);
+            let tag = r.u32().map_err(persist)?;
+            let len = r.count(1).map_err(persist)?;
+            let payload = r.take(len).map_err(persist)?;
             match tag {
                 TAG_CONFIG => {
                     let json = std::str::from_utf8(payload).map_err(persist)?;
                     config = Some(serde_json::from_str(json).map_err(persist)?);
                 }
-                TAG_CENTER => {
-                    center = Some(s.f64s()?);
-                    s.expect_end("conditioning center")?;
-                }
-                TAG_VOCAB => {
-                    let n = s.u64()? as usize;
-                    let mut names = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        names.push(s.str()?);
-                    }
-                    s.expect_end("vocabulary")?;
-                    vocab_names = Some(names);
-                }
-                TAG_GENERATOR => {
-                    let cfg_len = s.u64()? as usize;
-                    let cfg_json = std::str::from_utf8(s.take(cfg_len)?).map_err(persist)?;
-                    let cfg: GeneratorConfig = serde_json::from_str(cfg_json).map_err(persist)?;
-                    let count = s.u64()? as usize;
-                    let mut params = Vec::with_capacity(count.min(1 << 16));
-                    for _ in 0..count {
-                        let _name = s.str()?;
-                        let rows = s.u32()? as usize;
-                        let cols = s.u32()? as usize;
-                        let mut data = Vec::with_capacity((rows * cols).min(1 << 24));
-                        for _ in 0..rows * cols {
-                            data.push(f32::from_le_bytes(s.array()?));
-                        }
-                        params.push(Tensor::from_vec(data, rows, cols).map_err(persist)?);
-                    }
-                    s.expect_end("generator")?;
-                    generator = Some(GraphGenerator::from_params(cfg, params).map_err(persist)?);
-                }
+                TAG_CENTER => center = Some(read_center(payload).map_err(persist)?),
+                TAG_VOCAB => vocab_names = Some(read_vocab(payload).map_err(persist)?),
+                TAG_GENERATOR => generator = Some(read_generator(payload)?),
                 TAG_INDEX => {
-                    index = Some(VectorIndex::from_bytes(payload).map_err(persist)?);
-                }
-                TAG_EMBEDDINGS => {
-                    let n = s.u64()? as usize;
-                    let mut map = HashMap::with_capacity(n.min(1 << 20));
-                    for _ in 0..n {
-                        let name = s.str()?;
-                        let vector = s.f64s()?;
-                        map.insert(name, vector);
-                    }
-                    s.expect_end("embeddings")?;
-                    embeddings = Some(map);
+                    index =
+                        Some(VectorIndex::from_mapped_bytes(payload.to_vec()).map_err(persist)?);
                 }
                 // Unknown additive section from a newer writer of the same
                 // format version: skip.
@@ -178,74 +134,94 @@ impl Snapshot {
             generator: generator
                 .ok_or_else(|| persist("snapshot is missing the generator section"))?,
             index: index.ok_or_else(|| persist("snapshot is missing the index section"))?,
-            embeddings: embeddings
-                .ok_or_else(|| persist("snapshot is missing the embeddings section"))?,
         };
         Ok(Snapshot { version, model })
     }
+}
 
-    /// Reads a snapshot file written by [`TrainedModel::snapshot`].
-    pub fn read(path: impl AsRef<std::path::Path>) -> Result<Snapshot> {
-        let bytes = std::fs::read(path).map_err(persist)?;
-        Snapshot::from_bytes(&bytes)
+fn read_center(payload: &[u8]) -> std::result::Result<Vec<f64>, String> {
+    let mut s = Reader::new(payload);
+    let center = s.f64s()?;
+    s.expect_end("conditioning center")?;
+    Ok(center)
+}
+
+fn read_vocab(payload: &[u8]) -> std::result::Result<Vec<String>, String> {
+    let mut s = Reader::new(payload);
+    // Each name costs at least its 8-byte length prefix.
+    let n = s.count(8)?;
+    let mut names = Vec::with_capacity(n);
+    for _ in 0..n {
+        names.push(s.str()?);
     }
+    s.expect_end("vocabulary")?;
+    Ok(names)
+}
+
+fn read_generator(payload: &[u8]) -> Result<GraphGenerator> {
+    let mut s = Reader::new(payload);
+    let cfg_len = s.count(1).map_err(persist)?;
+    let cfg_json = std::str::from_utf8(s.take(cfg_len).map_err(persist)?).map_err(persist)?;
+    let cfg: GeneratorConfig = serde_json::from_str(cfg_json).map_err(persist)?;
+    // Each tensor costs at least a name length prefix plus its two u32
+    // dimensions.
+    let count = s.count(16).map_err(persist)?;
+    let mut params = Vec::with_capacity(count);
+    for _ in 0..count {
+        let _name = s.str().map_err(persist)?;
+        let rows = s.u32().map_err(persist)? as usize;
+        let cols = s.u32().map_err(persist)? as usize;
+        let len = s.fits(rows.saturating_mul(cols), 4).map_err(persist)?;
+        let mut data = Vec::with_capacity(len);
+        for _ in 0..len {
+            data.push(f32::from_le_bytes(s.array().map_err(persist)?));
+        }
+        params.push(Tensor::from_vec(data, rows, cols).map_err(persist)?);
+    }
+    s.expect_end("generator").map_err(persist)?;
+    GraphGenerator::from_params(cfg, params).map_err(persist)
 }
 
 impl TrainedModel {
-    /// Serializes the artifact into the binary snapshot format.
+    /// Serializes the artifact into the binary snapshot format. Fails
+    /// when the catalog's vectors have mixed dimensions, which the `KGVI`
+    /// index layout cannot represent.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         out.extend_from_slice(&Snapshot::MAGIC);
-        out.extend_from_slice(&Snapshot::FORMAT_VERSION.to_le_bytes());
+        write_u32(&mut out, Snapshot::FORMAT_VERSION);
 
         let config_json = serde_json::to_string(&self.config).map_err(persist)?;
-        section(&mut out, TAG_CONFIG, config_json.as_bytes());
+        write_section(&mut out, TAG_CONFIG, config_json.as_bytes());
 
         let mut center = Vec::new();
         write_f64s(&mut center, &self.embedding_center);
-        section(&mut out, TAG_CENTER, &center);
+        write_section(&mut out, TAG_CENTER, &center);
 
         let mut vocab = Vec::new();
         write_u64(&mut vocab, self.vocab.ops().len() as u64);
         for op in self.vocab.ops() {
             write_str(&mut vocab, op.name());
         }
-        section(&mut out, TAG_VOCAB, &vocab);
+        write_section(&mut out, TAG_VOCAB, &vocab);
 
         let mut generator = Vec::new();
         let cfg_json = serde_json::to_string(self.generator.config()).map_err(persist)?;
-        write_u64(&mut generator, cfg_json.len() as u64);
-        generator.extend_from_slice(cfg_json.as_bytes());
+        write_str(&mut generator, &cfg_json);
         let params: Vec<_> = self.generator.params().collect();
         write_u64(&mut generator, params.len() as u64);
         for (name, tensor) in params {
             write_str(&mut generator, name);
-            generator.extend_from_slice(&(tensor.rows() as u32).to_le_bytes());
-            generator.extend_from_slice(&(tensor.cols() as u32).to_le_bytes());
+            write_u32(&mut generator, tensor.rows() as u32);
+            write_u32(&mut generator, tensor.cols() as u32);
             for x in tensor.as_slice() {
                 generator.extend_from_slice(&x.to_le_bytes());
             }
         }
-        section(&mut out, TAG_GENERATOR, &generator);
+        write_section(&mut out, TAG_GENERATOR, &generator);
 
-        section(&mut out, TAG_INDEX, &self.index.to_bytes());
-
-        // Embeddings are written in catalog (index) order so identical
-        // models produce identical snapshot bytes.
-        let mut embeddings = Vec::new();
-        write_u64(&mut embeddings, self.embeddings.len() as u64);
-        let mut written = 0usize;
-        for i in 0..self.index.len() {
-            let name = self.index.name(i);
-            if let Some(vector) = self.embeddings.get(name) {
-                write_str(&mut embeddings, name);
-                write_f64s(&mut embeddings, vector);
-                written += 1;
-            }
-        }
-        debug_assert_eq!(written, self.embeddings.len(), "catalog covers embeddings");
-        section(&mut out, TAG_EMBEDDINGS, &embeddings);
-
+        let index = self.index.to_mapped_bytes().map_err(persist)?;
+        write_section(&mut out, TAG_INDEX, &index);
         Ok(out)
     }
 
@@ -255,116 +231,14 @@ impl TrainedModel {
         std::fs::write(path, self.snapshot_bytes()?).map_err(persist)
     }
 
-    /// Opens a model artifact from disk, accepting either a binary
-    /// snapshot (sniffed by magic) or a JSON-era [`Kgpip::save`] file —
-    /// the single loader deployments should use.
-    ///
-    /// [`Kgpip::save`]: crate::Kgpip::save
+    /// Opens a model artifact from a snapshot file — the single loader
+    /// deployments should use.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<TrainedModel> {
         let bytes = std::fs::read(path).map_err(persist)?;
-        if bytes.get(..4).is_some_and(|magic| magic == Snapshot::MAGIC) {
-            return Ok(Snapshot::from_bytes(&bytes)?.model);
-        }
-        let json = std::str::from_utf8(&bytes)
-            .map_err(|_| persist("file is neither a KGPS snapshot nor UTF-8 JSON"))?;
-        Ok(Kgpip::from_wire_json(json)?.into_artifact())
+        Ok(Snapshot::from_bytes(&bytes)?.model)
     }
 }
 
 fn persist(e: impl ToString) -> KgpipError {
     KgpipError::Persistence(e.to_string())
-}
-
-fn section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn write_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    write_u64(out, xs.len() as u64);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Bounds-checked little-endian cursor.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| persist(format!("snapshot truncated at byte {}", self.pos)))?;
-        // xlint: allow(panic-in-serve-path): end was bounds-checked against bytes.len() on the line above
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads exactly `N` bytes into an array, with the same truncation
-    /// error as [`Reader::take`] — the panic-free alternative to
-    /// `take(N)?.try_into().unwrap()` on the serve/load path.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let slice = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(slice);
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.u64()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(persist)
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>> {
-        let len = self.u64()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(f64::from_le_bytes(self.array()?));
-        }
-        Ok(out)
-    }
-
-    fn expect_end(&self, what: &str) -> Result<()> {
-        if self.at_end() {
-            Ok(())
-        } else {
-            Err(persist(format!(
-                "trailing bytes in {what} section ({} of {})",
-                self.pos,
-                self.bytes.len()
-            )))
-        }
-    }
 }

@@ -108,7 +108,7 @@ impl KgpipConfig {
 }
 
 /// Statistics of one training run (reported by the Table-3 ablation).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingStats {
     /// Scripts in the input corpus.
     pub scripts: usize,
@@ -120,7 +120,6 @@ pub struct TrainingStats {
     pub unparsable: usize,
     /// Scripts skipped because they reference a dataset with no table in
     /// the training catalog (previously a silent `continue`).
-    #[serde(default)]
     pub skipped_unknown_dataset: usize,
     /// Datasets with at least one valid pipeline.
     pub datasets: usize,
@@ -129,22 +128,18 @@ pub struct TrainingStats {
     /// Total edges across the filtered training graphs.
     pub total_edges: usize,
     /// Wall-clock seconds spent embedding the training tables.
-    #[serde(default)]
     pub embedding_secs: f64,
     /// Wall-clock seconds spent mining scripts into the Graph4ML
     /// (fingerprinting, cache probes, static analysis, assembly).
-    #[serde(default)]
     pub mining_secs: f64,
     /// Wall-clock seconds spent training the generator.
     pub training_secs: f64,
     /// Eligible scripts whose mining outcome was served from the
     /// [`MiningCache`] — including intra-corpus duplicates, which are
     /// analyzed once and replayed for every later occurrence.
-    #[serde(default)]
     pub mining_cache_hits: u64,
     /// Eligible scripts that actually went through static analysis this
     /// run (unique sources absent from the cache).
-    #[serde(default)]
     pub mining_cache_misses: u64,
     /// Per-epoch generator losses.
     pub epoch_losses: Vec<f32>,
@@ -162,21 +157,6 @@ pub struct Kgpip {
     pub(crate) artifact: TrainedModel,
     pub(crate) graph4ml: Graph4Ml,
     pub(crate) stats: TrainingStats,
-}
-
-/// The JSON wire layout of the original monolithic `Kgpip` struct, kept
-/// verbatim so models saved by earlier builds keep loading (and new JSON
-/// saves stay readable by them). Binary snapshots do not go through this.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct KgpipWire {
-    config: KgpipConfig,
-    embedding_center: Vec<f64>,
-    vocab: OpVocab,
-    generator: GraphGenerator,
-    index: VectorIndex,
-    embeddings: HashMap<String, Vec<f64>>,
-    graph4ml: Graph4Ml,
-    stats: TrainingStats,
 }
 
 impl Kgpip {
@@ -217,20 +197,28 @@ impl Kgpip {
         let workers = effective_parallelism(config.parallelism);
         let vocab = OpVocab::new();
 
+        // One catalog entry per table name: a second table under the same
+        // name would shadow the first's embedding.
+        let mut ids: HashMap<&str, usize> = HashMap::with_capacity(tables.len());
+        for (i, (name, _)) in tables.iter().enumerate() {
+            if ids.insert(name.as_str(), i).is_some() {
+                return Err(KgpipError::DuplicateDataset(name.clone()));
+            }
+        }
+
         // Content embeddings + similarity index over training datasets,
-        // computed in parallel and registered in catalog order.
+        // computed in parallel and registered in catalog order, so a
+        // table's catalog id is its position in `tables`.
         #[allow(clippy::disallowed_methods)]
         // xlint: allow(wall-clock-in-compute): stage timing feeds TrainingStats only, never a computed value
         let embedding_started = std::time::Instant::now();
         let vectors = table_embeddings(tables, workers);
-        let mut embeddings: HashMap<String, Vec<f64>> = HashMap::new();
         let mut index = VectorIndex::new();
         for ((name, _), e) in tables.iter().zip(vectors) {
-            index.add(name.clone(), e.clone());
-            embeddings.insert(name.clone(), e);
+            index.add(name.clone(), e);
         }
-        // Large catalogs get an IVF partitioning so the nearest-dataset
-        // lookup in `predict` stays sublinear; small ones stay exact.
+        // Large catalogs get an HNSW graph so the nearest-dataset lookup
+        // in `predict` stays sublinear; small ones stay exact.
         index.auto_tune(config.seed);
         let embedding_secs = embedding_started.elapsed().as_secs_f64();
 
@@ -252,7 +240,7 @@ impl Kgpip {
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
         for record in scripts {
-            if !embeddings.contains_key(&record.dataset) {
+            if !ids.contains_key(record.dataset.as_str()) {
                 skipped_unknown_dataset += 1;
                 fingerprints.push(None);
                 continue;
@@ -318,29 +306,22 @@ impl Kgpip {
         }
 
         // Whitening for the conditioning pathway (see
-        // `TrainedModel::embedding_center`). The mean is accumulated over
-        // distinct datasets in catalog order: float addition is
-        // order-sensitive and HashMap iteration order is not
-        // deterministic, so summing `embeddings.values()` would leak
-        // run-to-run noise into every conditioned embedding (enforced by
-        // xlint's `nondeterministic-iteration` rule). The width probe
-        // also goes through the catalog rather than map order.
-        let dim = tables
-            .first()
-            .and_then(|(name, _)| embeddings.get(name))
-            .map(Vec::len)
-            .unwrap_or(0);
+        // `TrainedModel::embedding_center`). The mean is accumulated in
+        // catalog order: float addition is order-sensitive, so the sum
+        // must never follow a map's iteration order (enforced by xlint's
+        // `nondeterministic-iteration` rule).
+        let dim = index.vector(0).map_or(0, <[f64]>::len);
         let mut embedding_center = vec![0.0f64; dim];
-        let mut seen: HashSet<&str> = HashSet::new();
-        for (name, _) in tables {
-            if seen.insert(name.as_str()) {
-                for (c, x) in embedding_center.iter_mut().zip(&embeddings[name]) {
-                    *c += x;
-                }
+        for i in 0..index.len() {
+            for (c, x) in embedding_center
+                .iter_mut()
+                .zip(index.vector(i).unwrap_or(&[]))
+            {
+                *c += x;
             }
         }
         for c in &mut embedding_center {
-            *c /= embeddings.len().max(1) as f64;
+            *c /= index.len().max(1) as f64;
         }
 
         let condition = |e: &[f64]| -> Vec<f64> {
@@ -356,9 +337,9 @@ impl Kgpip {
             .pipelines()
             .iter()
             .map(|(ds_idx, graph)| {
-                let name = &graph4ml.datasets()[*ds_idx];
+                let name = graph4ml.datasets()[*ds_idx].as_str();
                 TrainExample {
-                    dataset_embedding: condition(&embeddings[name]),
+                    dataset_embedding: condition(index.vector(ids[name]).unwrap_or(&[])),
                     graph: TypedGraph::encode(graph, &vocab),
                 }
             })
@@ -393,7 +374,6 @@ impl Kgpip {
                 vocab,
                 generator,
                 index,
-                embeddings,
             },
             graph4ml,
             stats,
@@ -448,73 +428,6 @@ impl Kgpip {
     /// Content embedding of a training dataset, if known.
     pub fn embedding_of(&self, dataset: &str) -> Option<&[f64]> {
         self.artifact.embedding_of(dataset)
-    }
-}
-
-impl Kgpip {
-    /// Serializes the full training run (serving artifact + Graph4ML +
-    /// stats) to the JSON-era wire format.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn to_json(&self) -> Result<String> {
-        self.wire_json()
-    }
-
-    /// Restores a training run from [`Kgpip::to_json`] output.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn from_json(json: &str) -> Result<Kgpip> {
-        Kgpip::from_wire_json(json)
-    }
-
-    /// Saves the training run to a JSON file.
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        std::fs::write(path, self.wire_json()?).map_err(|e| KgpipError::Persistence(e.to_string()))
-    }
-
-    /// Loads a training run from a file produced by [`Kgpip::save`].
-    #[deprecated(note = "use TrainedModel::snapshot/open for the serving artifact")]
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Kgpip> {
-        let json =
-            std::fs::read_to_string(path).map_err(|e| KgpipError::Persistence(e.to_string()))?;
-        Kgpip::from_wire_json(&json)
-    }
-
-    /// Non-deprecated implementation shared by the shims above (and the
-    /// CLI's compatibility path).
-    pub(crate) fn wire_json(&self) -> Result<String> {
-        // The vendored serde_derive cannot derive on borrowing structs, so
-        // the deprecated JSON path pays one clone into the owned wire
-        // layout; binary snapshots serialize without copies.
-        let wire = KgpipWire {
-            config: self.artifact.config.clone(),
-            embedding_center: self.artifact.embedding_center.clone(),
-            vocab: self.artifact.vocab.clone(),
-            generator: self.artifact.generator.clone(),
-            index: self.artifact.index.clone(),
-            embeddings: self.artifact.embeddings.clone(),
-            graph4ml: self.graph4ml.clone(),
-            stats: self.stats.clone(),
-        };
-        serde_json::to_string(&wire).map_err(|e| KgpipError::Persistence(e.to_string()))
-    }
-
-    /// Non-deprecated implementation of [`Kgpip::from_json`]; also the
-    /// JSON fallback of [`TrainedModel::open`].
-    pub(crate) fn from_wire_json(json: &str) -> Result<Kgpip> {
-        let wire: KgpipWire =
-            serde_json::from_str(json).map_err(|e| KgpipError::Persistence(e.to_string()))?;
-        Ok(Kgpip {
-            artifact: TrainedModel {
-                config: wire.config,
-                embedding_center: wire.embedding_center,
-                vocab: wire.vocab,
-                generator: wire.generator,
-                index: wire.index,
-                embeddings: wire.embeddings,
-            },
-            graph4ml: wire.graph4ml,
-            stats: wire.stats,
-        })
     }
 }
 
@@ -606,6 +519,20 @@ mod tests {
         let tables = vec![("alpha".to_string(), tiny_table(0.0))];
         let err = Kgpip::train(&[], &tables, fast_config()).unwrap_err();
         assert!(matches!(err, KgpipError::EmptyTrainingSet));
+    }
+
+    /// Two tables under one name would put two catalog entries behind
+    /// one name, and a lookup landing on the first would condition
+    /// generation on the second table's vector; training refuses them.
+    #[test]
+    fn duplicate_table_names_are_refused() {
+        let (scripts, mut tables) = tiny_setup();
+        tables.push(("alpha".to_string(), tiny_table(50.0)));
+        let err = Kgpip::train(&scripts, &tables, fast_config()).unwrap_err();
+        assert!(
+            matches!(&err, KgpipError::DuplicateDataset(name) if name == "alpha"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

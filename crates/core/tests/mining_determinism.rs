@@ -5,7 +5,7 @@
 //! whether the cache came from this process or from a serialized
 //! snapshot.
 
-use kgpip::{Kgpip, KgpipConfig, MiningCache, TrainingStats};
+use kgpip::{Kgpip, KgpipConfig, MiningCache};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile, ScriptRecord};
 use kgpip_graphgen::GeneratorConfig;
 use kgpip_tabular::{Column, DataFrame};
@@ -164,36 +164,4 @@ fn unknown_dataset_scripts_are_counted_not_silently_dropped() {
     );
     assert_eq!(stats.datasets, 2);
     assert!(stats.embedding_secs >= 0.0 && stats.mining_secs >= 0.0);
-}
-
-#[test]
-fn pre_upgrade_stats_json_loads_with_defaulted_fields() {
-    // A TrainingStats serialized before the mining/embedding instrumentation
-    // existed: the new fields must default instead of failing the load.
-    let old = r#"{"scripts":4,"valid_pipelines":3,"unparsable":1,"datasets":2,
-        "total_nodes":10,"total_edges":9,"training_secs":0.5,"epoch_losses":[1.0,0.5]}"#;
-    let stats: TrainingStats = serde_json::from_str(old).unwrap();
-    assert_eq!(stats.scripts, 4);
-    assert_eq!(stats.skipped_unknown_dataset, 0);
-    assert_eq!(stats.mining_cache_hits, 0);
-    assert_eq!(stats.mining_cache_misses, 0);
-    assert_eq!(stats.mining_secs, 0.0);
-    assert_eq!(stats.embedding_secs, 0.0);
-}
-
-#[test]
-#[allow(deprecated)]
-fn model_json_roundtrips_after_label_interning() {
-    // Label interning changed CodeGraph's in-memory representation; the
-    // serialized model (which embeds the Graph4ML built from those
-    // graphs) must round-trip unchanged.
-    let (scripts, tables) = setup();
-    let model = Kgpip::train(&scripts, &tables, config(1)).unwrap();
-    let json = model.to_json().unwrap();
-    let restored = Kgpip::from_json(&json).unwrap();
-    assert_eq!(fingerprint(&model), fingerprint(&restored));
-    assert_eq!(
-        serde_json::to_string(restored.graph4ml()).unwrap(),
-        serde_json::to_string(model.graph4ml()).unwrap()
-    );
 }

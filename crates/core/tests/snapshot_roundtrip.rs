@@ -5,6 +5,7 @@
 
 use kgpip::prelude::*;
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, DatasetProfile};
+use kgpip_embeddings::codec::Reader;
 use kgpip_graphgen::GeneratorConfig;
 use kgpip_tabular::{Column, DataFrame};
 
@@ -199,42 +200,54 @@ fn snapshot_roundtrips_hnsw_graph_bitwise() {
     assert_eq!(a, b);
 }
 
-/// A v1 snapshot is a v2 snapshot whose index section stops right after
-/// the IVF block. Rewrite a fresh snapshot into that shape and check this
-/// build still opens it.
-#[test]
-fn reader_accepts_version_1_snapshots() {
-    let artifact = trained_artifact();
-    let bytes = artifact.snapshot_bytes().unwrap();
-    let mut v1 = Vec::with_capacity(bytes.len());
-    v1.extend_from_slice(&bytes[..4]);
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    let mut pos = 8usize;
-    while pos < bytes.len() {
-        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        let payload = &bytes[pos + 12..pos + 12 + len];
-        let payload = if tag == 5 {
-            // Drop the trailing PQ and HNSW tag bytes (0 = absent, 0 =
-            // no graph) to recover the v1 index layout.
-            assert_eq!(
-                &payload[len - 2..],
-                &[0, 0],
-                "fixture expects no graph and no PQ store"
-            );
-            &payload[..len - 2]
-        } else {
-            payload
-        };
-        v1.extend_from_slice(&tag.to_le_bytes());
-        v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v1.extend_from_slice(payload);
-        pos += 12 + len;
+/// Walks a snapshot's sections and returns the payload of `tag`.
+fn section_payload(bytes: &[u8], tag: u32) -> Option<&[u8]> {
+    let mut r = Reader::new(bytes.get(8..)?);
+    while !r.at_end() {
+        let (t, len) = (r.u32().ok()?, r.count(1).ok()?);
+        let payload = r.take(len).ok()?;
+        if t == tag {
+            return Some(payload);
+        }
     }
-    let snapshot = Snapshot::from_bytes(&v1).unwrap();
-    assert_eq!(snapshot.version, 1);
-    assert!(!snapshot.model.index().has_hnsw());
-    assert_eq!(snapshot.model.catalog_len(), artifact.catalog_len());
+    None
+}
+
+/// The index section carries exactly the `.kgvi` catalog bytes, and a
+/// mapped reader over that payload answers like the reopened model's
+/// owned index — one layout, one parser, bit-identical answers.
+#[test]
+fn index_section_is_the_kgvi_catalog() {
+    use kgpip_embeddings::{table_embedding, HnswConfig, MappedIndex};
+    for graph in [false, true] {
+        let mut artifact = trained_artifact();
+        if graph {
+            artifact.build_hnsw_index(HnswConfig::default());
+        }
+        let bytes = artifact.snapshot_bytes().unwrap();
+        let payload = section_payload(&bytes, 5).expect("snapshot has an index section");
+        assert_eq!(payload, &artifact.index().to_mapped_bytes().unwrap()[..]);
+        let reopened = Snapshot::from_bytes(&bytes).unwrap().model;
+        let mapped = MappedIndex::from_vec(payload.to_vec()).unwrap();
+        assert_eq!(mapped.has_hnsw(), graph);
+        let mut queries: Vec<(&str, Vec<f64>)> = ["alpha", "beta", "gamma"]
+            .into_iter()
+            .map(|name| (name, reopened.embedding_of(name).unwrap().to_vec()))
+            .collect();
+        queries.push(("unseen", table_embedding(&table_like(1.0, 40))));
+        for (name, query) in &queries {
+            for k in 1..=3 {
+                let owned = reopened.index().search(query, k);
+                let via_map = mapped.top_k(query, k);
+                assert_eq!(owned.len(), via_map.len());
+                for ((na, sa), (nb, sb)) in owned.iter().zip(&via_map) {
+                    assert_eq!(na, nb, "{name} k={k}");
+                    assert_eq!(sa.to_bits(), sb.to_bits(), "{name} k={k}");
+                }
+            }
+        }
+    }
+    assert!(TrainedModel::open("/nonexistent/path/model.kgps").is_err());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Deterministic HNSW: the graph-based approximate-nearest-neighbor tier
-//! for catalogs beyond IVF's reach.
+//! for catalogs past the exact scan's crossover.
 //!
 //! A Hierarchical Navigable Small World graph (Malkov & Yashunin, 2016)
 //! answers top-k cosine queries in roughly logarithmic time: each vector
@@ -8,8 +8,7 @@
 //! (`ef`) over layer 0 collects the candidates. This is FAISS's
 //! `IndexHNSWFlat` counterpart, sized for the 100K–1M-table catalogs the
 //! platform roadmap targets — where the exact scan pays one cosine per
-//! catalog entry per query and IVF's coarse partitions either under-recall
-//! or degenerate into near-exact scans.
+//! catalog entry per query.
 //!
 //! # Determinism rules
 //!
@@ -33,8 +32,8 @@
 //!
 //! [`VectorIndex`]: crate::VectorIndex
 
+use crate::codec::{write_u64, Reader};
 use crate::column::cosine;
-use crate::index::{write_u64, Reader};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -43,7 +42,7 @@ use std::collections::BinaryHeap;
 const MAX_LEVEL: usize = 31;
 
 /// Tuning parameters of an HNSW graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HnswConfig {
     /// Links created per node per layer (layer 0 keeps up to `2m`).
     pub m: usize,
@@ -107,7 +106,7 @@ impl VectorSource for SliceSource<'_> {
 
 /// One node's adjacency: `levels[l]` holds the neighbor ids at layer `l`,
 /// for `l` in `0..=node_level`.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct HnswNode {
     levels: Vec<Vec<u32>>,
 }
@@ -115,7 +114,7 @@ struct HnswNode {
 /// A deterministic HNSW graph over an external vector store. See the
 /// module docs for the determinism rules; see [`Hnsw::insert`] for the
 /// id/insertion-order contract.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hnsw {
     config: HnswConfig,
     /// Entry point: the id of a node on the highest populated layer
@@ -506,11 +505,8 @@ impl Hnsw {
     }
 
     /// Serializes the graph (config, entry point, adjacency) to the
-    /// little-endian payload embedded in [`VectorIndex::to_bytes`] and in
-    /// mapped catalog files. Round-trips bit-for-bit through
-    /// [`Hnsw::from_bytes`].
-    ///
-    /// [`VectorIndex::to_bytes`]: crate::VectorIndex::to_bytes
+    /// little-endian payload of the `KGVI` catalog's graph section.
+    /// Round-trips bit-for-bit through [`Hnsw::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         write_u64(&mut out, self.config.m as u64);
@@ -554,14 +550,17 @@ impl Hnsw {
             1 => Some(r.u64()? as u32),
             tag => return Err(format!("unknown HNSW entry tag {tag}")),
         };
-        let n = r.u64()? as usize;
-        let mut nodes = Vec::with_capacity(n.min(1 << 20));
+        // Every count is checked against the remaining bytes before any
+        // reservation: a node costs at least its 8-byte level count, a
+        // level its 8-byte length, a link 4 bytes.
+        let n = r.count(8)?;
+        let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
-            let num_levels = r.u64()? as usize;
-            let mut levels = Vec::with_capacity(num_levels.min(MAX_LEVEL + 1));
+            let num_levels = r.count(8)?;
+            let mut levels = Vec::with_capacity(num_levels);
             for _ in 0..num_levels {
-                let len = r.u64()? as usize;
-                let mut list = Vec::with_capacity(len.min(1 << 20));
+                let len = r.count(4)?;
+                let mut list = Vec::with_capacity(len);
                 for _ in 0..len {
                     let id = r.u32()?;
                     if id as usize >= n {

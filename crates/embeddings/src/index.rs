@@ -1,29 +1,21 @@
 //! Vector similarity index — the FAISS substitute.
 //!
-//! Three tiers, auto-selected by catalog size ([`VectorIndex::auto_tune`]):
-//! exact cosine top-k for small catalogs; an IVF (inverted file) mode that
-//! partitions vectors with k-means and probes only the nearest partitions
-//! (FAISS's `IndexIVFFlat`); and a deterministic HNSW graph
-//! ([`crate::hnsw`], FAISS's `IndexHNSWFlat`) for the 100K–1M-vector
-//! catalogs where even coarse IVF probes pay a near-linear scan.
-//! [`VectorIndex::search`] dispatches to the active tier;
-//! [`VectorIndex::register`] grows the catalog online without retraining
-//! whichever tier is active.
+//! Two tiers, auto-selected by catalog size ([`VectorIndex::auto_tune`]):
+//! an exact cosine scan below [`VectorIndex::HNSW_AUTO_THRESHOLD`], and a
+//! deterministic HNSW graph ([`crate::hnsw`], FAISS's `IndexHNSWFlat`) at
+//! and above it. [`VectorIndex::search`] dispatches to the active tier;
+//! [`VectorIndex::register`] grows the catalog online without rebuilding
+//! it. The on-disk form is the `KGVI` layout of [`crate::mapped`], which
+//! model snapshots embed as their index section.
 
-use crate::column::cosine;
-use crate::hnsw::{Hnsw, HnswConfig, SliceSource};
-use crate::pq::{par_map_indices, AdcSource, Pq, PqConfig};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::hnsw::{Hnsw, HnswConfig, SliceSource, VectorSource};
+use crate::pq::{AdcSource, Pq, PqCodebook, PqConfig};
 
 /// Which search structure a [`VectorIndex`] currently answers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexTier {
-    /// Linear scan — trivially correct, fastest below ~hundreds.
+    /// Linear scan — trivially correct, fastest below the crossover.
     Exact,
-    /// k-means partitions with `nprobe` probing.
-    Ivf,
     /// Hierarchical navigable small-world graph.
     Hnsw,
 }
@@ -32,7 +24,6 @@ impl std::fmt::Display for IndexTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexTier::Exact => write!(f, "exact"),
-            IndexTier::Ivf => write!(f, "ivf"),
             IndexTier::Hnsw => write!(f, "hnsw"),
         }
     }
@@ -53,8 +44,6 @@ pub struct IndexStats {
     pub dim: usize,
     /// Bytes of the full-precision `f64` vector block.
     pub vector_bytes: usize,
-    /// Bytes of IVF state (centroids + member lists).
-    pub ivf_bytes: usize,
     /// Bytes of the HNSW adjacency (serialized size — the graph stores
     /// no vectors).
     pub hnsw_bytes: usize,
@@ -66,7 +55,7 @@ pub struct IndexStats {
 impl IndexStats {
     /// Total resident bytes across all components.
     pub fn resident_bytes(&self) -> usize {
-        self.vector_bytes + self.ivf_bytes + self.hnsw_bytes + self.pq_bytes
+        self.vector_bytes + self.hnsw_bytes + self.pq_bytes
     }
 
     /// Bytes the active tier's candidate scan touches per full pass: the
@@ -80,51 +69,33 @@ impl IndexStats {
     }
 }
 
-/// A named-vector index with exact, IVF-approximate, and HNSW-approximate
-/// top-k search.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+/// A named-vector index with exact and HNSW-approximate top-k search.
+#[derive(Debug, Clone, Default)]
 pub struct VectorIndex {
     pub(crate) names: Vec<String>,
     pub(crate) vectors: Vec<Vec<f64>>,
-    /// IVF state: centroid vectors and per-partition member lists.
-    ivf: Option<Ivf>,
     /// HNSW state: the layered proximity graph (adjacency only; vectors
-    /// stay in `vectors`). Absent in pre-HNSW serialized indexes.
-    #[serde(default)]
+    /// stay in `vectors`).
     pub(crate) hnsw: Option<Hnsw>,
     /// Product-quantization state: per-subspace codebooks plus the `u8`
     /// code matrix. A storage/scoring layer under the tiers, not a tier —
-    /// when present, beam/list scans read codes and the top `rerank × k`
-    /// candidates are re-ranked with exact cosine. Absent in pre-PQ
-    /// serialized indexes.
-    #[serde(default)]
+    /// when present, beam/full scans read codes and the top `rerank × k`
+    /// candidates are re-ranked with exact cosine.
     pub(crate) pq: Option<Pq>,
-    /// Requested worker count for k-means assignment and PQ encoding
+    /// Requested worker count for PQ codebook training and encoding
     /// (clamped through `effective_parallelism`; 0 means sequential).
     /// Ephemeral build-time state — any value produces bit-identical
-    /// results, so round-tripping it is harmless.
-    #[serde(default)]
+    /// results, so it is never persisted.
     parallelism: usize,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct Ivf {
-    centroids: Vec<Vec<f64>>,
-    members: Vec<Vec<usize>>,
-    nprobe: usize,
-}
-
 impl VectorIndex {
-    /// Catalog size at which [`VectorIndex::auto_tune`] switches the
-    /// nearest-dataset lookup from exact scan to IVF probing. Below this,
-    /// an exact scan is both faster and trivially correct.
-    pub const IVF_AUTO_THRESHOLD: usize = 128;
-
-    /// Catalog size at which [`VectorIndex::auto_tune`] switches from IVF
-    /// to the HNSW graph. At √n-list sizing, IVF probes ~n/4 vectors per
-    /// query; past a few thousand entries the graph's near-logarithmic
-    /// descent wins.
-    pub const HNSW_AUTO_THRESHOLD: usize = 4096;
+    /// Catalog size at which [`VectorIndex::auto_tune`] switches from the
+    /// exact scan to the HNSW graph: the first measured size where the
+    /// graph beat the scan on top-10 queries/sec in every run (32-dim
+    /// clustered catalogs; DESIGN.md, "Similarity index tiers"). Below
+    /// it the scan is as fast or faster and trivially correct.
+    pub const HNSW_AUTO_THRESHOLD: usize = 1024;
 
     /// Catalog size at which [`VectorIndex::auto_tune`] additionally
     /// quantizes the vector store ([`PqConfig::default`]): below this the
@@ -138,19 +109,18 @@ impl VectorIndex {
         Self::default()
     }
 
-    /// Adds a named vector at build time. Invalidates any trained IVF
-    /// partitioning or HNSW graph — callers retune once after bulk adds.
+    /// Adds a named vector at build time. Invalidates any built HNSW
+    /// graph or quantized store — callers retune once after bulk adds.
     /// For online growth that *extends* the current tier instead, use
     /// [`VectorIndex::register`].
     pub fn add(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
-        self.ivf = None;
         self.hnsw = None;
         self.pq = None;
     }
 
-    /// Sets the requested worker count for k-means assignment and PQ
+    /// Sets the requested worker count for PQ codebook training and
     /// encoding (clamped through `effective_parallelism`; 0 or 1 means
     /// sequential). Parallelism changes build *cost* only — results are
     /// bit-identical at any setting.
@@ -158,18 +128,11 @@ impl VectorIndex {
         self.parallelism = workers;
     }
 
-    /// The requested build worker count (0 means sequential).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Registers a named vector online, extending whichever tier is
-    /// active instead of invalidating it: HNSW gets an incremental
-    /// [`Hnsw::insert`] (bit-identical to a from-scratch rebuild with the
-    /// same order), IVF assigns the vector to its nearest centroid
-    /// without re-running k-means, and the exact tier just appends. A
-    /// quantized store encodes the new vector against the frozen
-    /// codebooks — no retrain.
+    /// Registers a named vector online, extending the active tier instead
+    /// of invalidating it: HNSW gets an incremental [`Hnsw::insert`]
+    /// (bit-identical to a from-scratch rebuild with the same order) and
+    /// the exact tier just appends. A quantized store encodes the new
+    /// vector against the frozen codebooks — no retrain.
     pub fn register(&mut self, name: impl Into<String>, vector: Vec<f64>) {
         self.names.push(name.into());
         self.vectors.push(vector);
@@ -179,22 +142,6 @@ impl VectorIndex {
         }
         if let (Some(pq), Some(v)) = (&mut self.pq, self.vectors.last()) {
             pq.append(v);
-        }
-        let id = self.vectors.len() - 1;
-        if let (Some(ivf), Some(v)) = (&mut self.ivf, self.vectors.last()) {
-            let best = ivf
-                .centroids
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    cosine(v, a.1)
-                        .total_cmp(&cosine(v, b.1))
-                        .then_with(|| b.0.cmp(&a.0))
-                })
-                .map(|(c, _)| c);
-            if let Some(members) = best.and_then(|c| ivf.members.get_mut(c)) {
-                members.push(id);
-            }
         }
     }
 
@@ -208,9 +155,9 @@ impl VectorIndex {
         self.vectors.is_empty()
     }
 
-    /// Name of the i-th stored vector.
-    pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
+    /// Name of the i-th stored vector, when in range.
+    pub fn name(&self, i: usize) -> Option<&str> {
+        self.names.get(i).map(String::as_str)
     }
 
     /// The i-th stored vector, when in range.
@@ -218,105 +165,24 @@ impl VectorIndex {
         self.vectors.get(i).map(Vec::as_slice)
     }
 
+    /// Id of the first entry named `name`, by a linear scan of the
+    /// catalog.
+    pub fn id_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
     /// Exact top-k by cosine similarity: `(name, similarity)` descending.
     /// Ties order by insertion id via `(score, id)` `total_cmp`, so equal
     /// scores (and NaN-scored entries) rank identically across rebuilds.
     pub fn top_k(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(usize, f64)> = self
-            .vectors
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, cosine(query, v)))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
-            .map(|(i, s)| (self.names[i].clone(), s))
+        self.named(scan_top_k(&SliceSource(&self.vectors), None, query, k))
+    }
+
+    /// Maps `(id, score)` hits to `(name, score)`.
+    fn named(&self, hits: Vec<(usize, f64)>) -> Vec<(String, f64)> {
+        hits.into_iter()
+            .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
             .collect()
-    }
-
-    /// Trains an IVF partitioning with `nlist` k-means partitions, probing
-    /// `nprobe` partitions at query time.
-    pub fn train_ivf(&mut self, nlist: usize, nprobe: usize, seed: u64) {
-        let n = self.vectors.len();
-        if n == 0 {
-            return;
-        }
-        let nlist = nlist.clamp(1, n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        // k-means++ style init: random distinct seeds.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut centroids: Vec<Vec<f64>> = order[..nlist]
-            .iter()
-            .map(|&i| self.vectors[i].clone())
-            .collect();
-        let vectors = &self.vectors;
-        let mut assignment = vec![0usize; n];
-        for _iter in 0..20 {
-            // Assignment is embarrassingly parallel: each vector's best
-            // centroid is independent, and `par_map_indices` reduces in
-            // input order, so any worker count is bit-identical to the
-            // sequential scan.
-            let next: Vec<usize> = par_map_indices(n, self.parallelism, |i| {
-                vectors.get(i).map_or(0, |v| {
-                    centroids
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| {
-                            cosine(v, a.1)
-                                .total_cmp(&cosine(v, b.1))
-                                .then_with(|| b.0.cmp(&a.0))
-                        })
-                        .map(|(c, _)| c)
-                        .unwrap_or(0)
-                })
-            });
-            let changed = next != assignment;
-            assignment = next;
-            // Recompute centroids as member means in one pass over the
-            // catalog: per-centroid sums accumulate in ascending id order
-            // (the same fold order as a per-centroid member walk), so the
-            // result is bit-identical to the old O(nlist·n) recompute.
-            let mut sums: Vec<Vec<f64>> = centroids.iter().map(|c| vec![0.0; c.len()]).collect();
-            let mut counts = vec![0usize; centroids.len()];
-            for (i, &c) in assignment.iter().enumerate() {
-                if let (Some(sum), Some(v)) = (sums.get_mut(c), vectors.get(i)) {
-                    for (s, x) in sum.iter_mut().zip(v) {
-                        *s += x;
-                    }
-                }
-                if let Some(cnt) = counts.get_mut(c) {
-                    *cnt += 1;
-                }
-            }
-            for ((centroid, sum), &cnt) in centroids.iter_mut().zip(sums).zip(&counts) {
-                if cnt == 0 {
-                    continue;
-                }
-                for (dst, s) in centroid.iter_mut().zip(sum) {
-                    *dst = s / cnt as f64;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut members = vec![Vec::new(); nlist];
-        for (i, &c) in assignment.iter().enumerate() {
-            members[c].push(i);
-        }
-        self.ivf = Some(Ivf {
-            centroids,
-            members,
-            nprobe: nprobe.clamp(1, nlist),
-        });
-    }
-
-    /// True when an IVF partitioning is currently trained.
-    pub fn has_ivf(&self) -> bool {
-        self.ivf.is_some()
     }
 
     /// True when an HNSW graph is currently built.
@@ -325,12 +191,10 @@ impl VectorIndex {
     }
 
     /// The search structure [`VectorIndex::search`] currently dispatches
-    /// to: HNSW when built, else IVF when trained, else the exact scan.
+    /// to: HNSW when built, else the exact scan.
     pub fn tier(&self) -> IndexTier {
         if self.hnsw.is_some() {
             IndexTier::Hnsw
-        } else if self.ivf.is_some() {
-            IndexTier::Ivf
         } else {
             IndexTier::Exact
         }
@@ -343,18 +207,16 @@ impl VectorIndex {
     }
 
     /// Builds (or rebuilds) the HNSW graph over the current catalog by
-    /// inserting vectors in id order; replaces any IVF partitioning as
-    /// the active tier.
+    /// inserting vectors in id order, making it the active tier.
     pub fn build_hnsw(&mut self, config: HnswConfig) {
         self.hnsw = Some(Hnsw::build(config, &SliceSource(&self.vectors)));
     }
 
-    /// Selects and trains the search tier for the current catalog size:
-    /// `n < 128` stays exact, `128 ≤ n < 4096` trains `√n`-list IVF
-    /// probing `max(1, √n/4)` partitions (the standard sizing rule), and
-    /// `n ≥ 4096` builds a default-parameter HNSW graph seeded with
-    /// `seed`. Returns the chosen tier. The losing tiers are dropped so
-    /// [`VectorIndex::tier`] always reflects the policy's pick.
+    /// Selects the search tier for the current catalog size: below
+    /// [`VectorIndex::HNSW_AUTO_THRESHOLD`] the index stays exact (any
+    /// graph is dropped); at and above it a default-parameter HNSW graph
+    /// seeded with `seed` is built. Returns the chosen tier, which
+    /// [`VectorIndex::tier`] then reports.
     ///
     /// Orthogonally, catalogs of [`VectorIndex::PQ_AUTO_THRESHOLD`] or
     /// more vectors also get a product-quantized vector store
@@ -362,24 +224,14 @@ impl VectorIndex {
     /// read compact codes; smaller catalogs drop any quantization.
     pub fn auto_tune(&mut self, seed: u64) -> IndexTier {
         let n = self.vectors.len();
-        let tier = if n >= Self::HNSW_AUTO_THRESHOLD {
-            self.ivf = None;
+        if n >= Self::HNSW_AUTO_THRESHOLD {
             self.build_hnsw(HnswConfig {
                 seed,
                 ..HnswConfig::default()
             });
-            IndexTier::Hnsw
-        } else if n >= Self::IVF_AUTO_THRESHOLD {
-            self.hnsw = None;
-            let nlist = (n as f64).sqrt().round().max(1.0) as usize;
-            let nprobe = (nlist / 4).max(1);
-            self.train_ivf(nlist, nprobe, seed);
-            IndexTier::Ivf
         } else {
             self.hnsw = None;
-            self.ivf = None;
-            IndexTier::Exact
-        };
+        }
         self.pq = None;
         if n >= Self::PQ_AUTO_THRESHOLD {
             // Mixed-dimension catalogs cannot quantize (the flat codebook
@@ -389,7 +241,7 @@ impl VectorIndex {
                 ..PqConfig::default()
             });
         }
-        tier
+        self.tier()
     }
 
     /// Quantizes the vector store: trains per-subspace codebooks over the
@@ -401,11 +253,6 @@ impl VectorIndex {
     pub fn quantize(&mut self, config: PqConfig) -> Result<(), String> {
         self.pq = Some(Pq::fit(&self.vectors, &config, self.parallelism)?);
         Ok(())
-    }
-
-    /// Drops any product-quantized store; scans return to full precision.
-    pub fn dequantize(&mut self) {
-        self.pq = None;
     }
 
     /// True when a product-quantized store is active.
@@ -421,399 +268,92 @@ impl VectorIndex {
 
     /// Resident byte accounting per storage component.
     pub fn stats(&self) -> IndexStats {
-        let vector_bytes: usize = self.vectors.iter().map(|v| v.len() * 8).sum();
-        let ivf_bytes = self.ivf.as_ref().map_or(0, |ivf| {
-            let cents: usize = ivf.centroids.iter().map(|c| c.len() * 8).sum();
-            let members: usize = ivf.members.iter().map(|m| m.len() * 8).sum();
-            cents + members
-        });
-        let hnsw_bytes = self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len());
-        let pq_bytes = self.pq.as_ref().map_or(0, Pq::resident_bytes);
         IndexStats {
             tier: self.tier(),
             quantized: self.pq.is_some(),
             count: self.vectors.len(),
             dim: self.vectors.first().map_or(0, Vec::len),
-            vector_bytes,
-            ivf_bytes,
-            hnsw_bytes,
-            pq_bytes,
+            vector_bytes: self.vectors.iter().map(|v| v.len() * 8).sum(),
+            hnsw_bytes: self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len()),
+            pq_bytes: self.pq.as_ref().map_or(0, Pq::resident_bytes),
         }
     }
 
     /// Top-k through the active tier — the serve-path entry point.
     /// Results are `(name, similarity)` in `(score desc, id asc)` order
     /// for every tier. When the store is quantized, the tier's scan reads
-    /// PQ codes and the answer is re-ranked with exact cosine
-    /// ([`VectorIndex::search_quantized`]); the reported similarities are
-    /// always exact.
+    /// PQ codes and the answer is re-ranked with exact cosine; the
+    /// reported similarities are always exact.
     pub fn search(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if let Some(pq) = &self.pq {
-            return self.search_quantized(pq, query, k);
-        }
-        match self.tier() {
-            IndexTier::Hnsw => self.top_k_hnsw(query, k),
-            IndexTier::Ivf => self.top_k_ivf(query, k),
-            IndexTier::Exact => self.top_k(query, k),
-        }
+        self.named(self.search_ids(query, k))
     }
 
-    /// Top-k over the quantized store: the active tier's candidate scan
-    /// (HNSW beam, IVF probed lists, or the full scan) scores PQ codes
-    /// via one per-query ADC table, then the top `rerank × k` candidates
-    /// are re-scored with exact [`cosine`] over the retained
-    /// full-precision vectors and ordered `(score desc, id asc)` —
-    /// compression changes what a query costs, never what it returns.
-    /// Whenever the rerank window covers the candidate pool the answer is
-    /// bit-identical to the unquantized index.
-    ///
-    /// [`cosine`]: crate::column::cosine
-    fn search_quantized(&self, pq: &Pq, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if k == 0 || self.vectors.is_empty() {
-            return Vec::new();
-        }
-        let table = pq.adc_table(query);
-        let fetch = k.saturating_mul(pq.rerank());
-        let candidates: Vec<usize> = match (&self.hnsw, &self.ivf) {
-            (Some(hnsw), _) => {
-                // The beam descends over codes: `AdcSource::similarity`
-                // reads the prebuilt table, never the f64 block. The
-                // graph itself was built over full-precision vectors, so
-                // it is the same graph an unquantized index searches.
-                let source = AdcSource { pq, table: &table };
-                hnsw.search(query, fetch, &source)
-                    .into_iter()
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            (None, Some(ivf)) => {
-                // Probe selection stays full-precision (centroids are
-                // few); member scans read codes.
-                let mut parts: Vec<(usize, f64)> = ivf
-                    .centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(c, v)| (c, cosine(query, v)))
-                    .collect();
-                parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mut scored: Vec<(usize, f64)> = parts
-                    .iter()
-                    .take(ivf.nprobe)
-                    .filter_map(|&(c, _)| ivf.members.get(c))
-                    .flatten()
-                    .map(|&i| (i, pq.score(&table, i)))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
-            }
-            (None, None) => {
-                let mut scored: Vec<(usize, f64)> = (0..self.vectors.len())
-                    .map(|i| (i, pq.score(&table, i)))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
-            }
-        };
-        let mut reranked: Vec<(usize, f64)> = candidates
-            .into_iter()
-            .map(|i| (i, self.vectors.get(i).map_or(0.0, |v| cosine(query, v))))
-            .collect();
-        reranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        reranked
-            .into_iter()
-            .take(k)
-            .filter_map(|(i, s)| self.names.get(i).map(|n| (n.clone(), s)))
-            .collect()
-    }
-
-    /// HNSW-approximate top-k. Falls back to exact search when no graph
-    /// has been built.
-    pub fn top_k_hnsw(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let Some(hnsw) = &self.hnsw else {
-            return self.top_k(query, k);
-        };
-        hnsw.search(query, k, &SliceSource(&self.vectors))
-            .into_iter()
-            .filter_map(|(i, s)| self.names.get(i).map(|n| (n.clone(), s)))
-            .collect()
-    }
-
-    /// Serializes the index (names, vectors, and any trained IVF state)
-    /// to a self-contained little-endian binary payload — the section
-    /// format used inside KGpip model snapshots. Round-trips bit-for-bit
-    /// through [`VectorIndex::from_bytes`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_u64(&mut out, self.names.len() as u64);
-        for (name, vector) in self.names.iter().zip(&self.vectors) {
-            write_str(&mut out, name);
-            write_f64s(&mut out, vector);
-        }
-        match &self.ivf {
-            None => out.push(0),
-            Some(ivf) => {
-                out.push(1);
-                write_u64(&mut out, ivf.centroids.len() as u64);
-                for centroid in &ivf.centroids {
-                    write_f64s(&mut out, centroid);
-                }
-                for members in &ivf.members {
-                    write_u64(&mut out, members.len() as u64);
-                    for &m in members {
-                        write_u64(&mut out, m as u64);
-                    }
-                }
-                write_u64(&mut out, ivf.nprobe as u64);
-            }
-        }
-        match &self.hnsw {
-            None => out.push(0),
-            Some(hnsw) => {
-                out.push(1);
-                let payload = hnsw.to_bytes();
-                write_u64(&mut out, payload.len() as u64);
-                out.extend_from_slice(&payload);
-            }
-        }
-        match &self.pq {
-            None => out.push(0),
-            Some(pq) => {
-                out.push(1);
-                let payload = pq.to_bytes();
-                write_u64(&mut out, payload.len() as u64);
-                out.extend_from_slice(&payload);
-            }
-        }
-        out
-    }
-
-    /// Restores an index from [`VectorIndex::to_bytes`] output. Strict:
-    /// trailing bytes, truncation, or malformed UTF-8 all fail rather
-    /// than producing a partially-loaded index. Two tolerances for older
-    /// writers: payloads written before the HNSW tier existed end right
-    /// after the IVF block (those load with `hnsw = None`), and payloads
-    /// written before product quantization end right after the HNSW
-    /// block (those load with `pq = None`) — so old snapshots keep
-    /// opening.
-    pub fn from_bytes(bytes: &[u8]) -> Result<VectorIndex, String> {
-        let mut r = Reader::new(bytes);
-        let n = r.u64()? as usize;
-        let mut names = Vec::with_capacity(n.min(1 << 20));
-        let mut vectors = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            names.push(r.str()?);
-            vectors.push(r.f64s()?);
-        }
-        let ivf = match r.u8()? {
-            0 => None,
-            1 => {
-                let nlist = r.u64()? as usize;
-                let mut centroids = Vec::with_capacity(nlist.min(1 << 20));
-                for _ in 0..nlist {
-                    centroids.push(r.f64s()?);
-                }
-                let mut members = Vec::with_capacity(nlist.min(1 << 20));
-                for _ in 0..nlist {
-                    let len = r.u64()? as usize;
-                    let mut list = Vec::with_capacity(len.min(1 << 20));
-                    for _ in 0..len {
-                        list.push(r.u64()? as usize);
-                    }
-                    members.push(list);
-                }
-                let nprobe = r.u64()? as usize;
-                Some(Ivf {
-                    centroids,
-                    members,
-                    nprobe,
-                })
-            }
-            tag => return Err(format!("unknown IVF tag {tag}")),
-        };
-        let hnsw = if r.at_end() {
-            None
-        } else {
-            match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.u64()? as usize;
-                    let graph = Hnsw::from_bytes(r.take(len)?)?;
-                    if graph.len() != names.len() {
-                        return Err(format!(
-                            "HNSW graph indexes {} nodes but catalog holds {}",
-                            graph.len(),
-                            names.len()
-                        ));
-                    }
-                    Some(graph)
-                }
-                tag => return Err(format!("unknown HNSW tag {tag}")),
-            }
-        };
-        let pq = if r.at_end() {
-            None
-        } else {
-            match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.u64()? as usize;
-                    let pq = Pq::from_bytes(r.take(len)?)?;
-                    if pq.len() != names.len() {
-                        return Err(format!(
-                            "PQ code matrix holds {} rows but catalog holds {}",
-                            pq.len(),
-                            names.len()
-                        ));
-                    }
-                    Some(pq)
-                }
-                tag => return Err(format!("unknown PQ tag {tag}")),
-            }
-        };
-        r.expect_end("index")?;
-        Ok(VectorIndex {
-            names,
-            vectors,
-            ivf,
-            hnsw,
-            pq,
-            parallelism: 0,
-        })
-    }
-
-    /// IVF-approximate top-k: probes the `nprobe` partitions whose
-    /// centroids are most similar to the query. Falls back to exact search
-    /// when IVF has not been trained. Tie-breaking matches
-    /// [`VectorIndex::top_k`]: `(score, id)` under `total_cmp`.
-    pub fn top_k_ivf(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let Some(ivf) = &self.ivf else {
-            return self.top_k(query, k);
-        };
-        let mut parts: Vec<(usize, f64)> = ivf
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(c, v)| (c, cosine(query, v)))
-            .collect();
-        parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut scored: Vec<(usize, f64)> = Vec::new();
-        for &(c, _) in parts.iter().take(ivf.nprobe) {
-            for &i in &ivf.members[c] {
-                scored.push((i, cosine(query, &self.vectors[i])));
-            }
-        }
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
-            .map(|(i, s)| (self.names[i].clone(), s))
-            .collect()
+    /// [`VectorIndex::search`] answering catalog ids instead of names, so
+    /// callers can read the hit's vector ([`VectorIndex::vector`])
+    /// without a name lookup.
+    pub fn search_ids(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
+        search_store(
+            &SliceSource(&self.vectors),
+            self.hnsw.as_ref(),
+            self.pq.as_ref().map(|pq| (pq.book(), pq.codes())),
+            query,
+            k,
+        )
     }
 }
 
-pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Top-`k` `(id, score)` over one vector store — the search both the
+/// owned index and a mapped catalog answer with — in `(score desc, id
+/// asc)` order: the HNSW beam when `hnsw` is given, the full scan
+/// otherwise.
+///
+/// With a quantized store (`pq`: codebooks plus the row-major code
+/// matrix), the same scan reads codes through one per-query ADC table,
+/// then its top `rerank × k` candidates are re-scored with `exact`'s
+/// full-precision cosine — compression changes what a query costs, never
+/// what it returns, and whenever the rerank window covers the candidate
+/// pool the answer is bit-identical to the unquantized store. The graph
+/// was built over full-precision vectors either way, so it is the same
+/// graph an unquantized store searches.
+pub(crate) fn search_store(
+    exact: &impl VectorSource,
+    hnsw: Option<&Hnsw>,
+    pq: Option<(&PqCodebook, &[u8])>,
+    query: &[f64],
+    k: usize,
+) -> Vec<(usize, f64)> {
+    let Some((book, codes)) = pq else {
+        return scan_top_k(exact, hnsw, query, k);
+    };
+    let fetch = k.saturating_mul(book.rerank().max(1));
+    let candidates = scan_top_k(&AdcSource::new(book, codes, query), hnsw, query, fetch);
+    let mut reranked: Vec<(usize, f64)> = candidates
+        .into_iter()
+        .map(|(i, _)| (i, exact.similarity(i, query)))
+        .collect();
+    reranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    reranked.truncate(k);
+    reranked
 }
 
-pub(crate) fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn write_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    write_u64(out, xs.len() as u64);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Top-`k` `(id, score)` over `source`: the HNSW beam when a graph is
+/// given, the full scan otherwise. Ties (and NaN scores) order by id
+/// under `total_cmp`, so equal scores rank identically across rebuilds.
+pub(crate) fn scan_top_k(
+    source: &impl VectorSource,
+    hnsw: Option<&Hnsw>,
+    query: &[f64],
+    k: usize,
+) -> Vec<(usize, f64)> {
+    if let Some(hnsw) = hnsw {
+        return hnsw.search(query, k, source);
     }
-}
-
-/// Bounds-checked little-endian cursor shared by the binary decoders in
-/// this crate ([`VectorIndex::from_bytes`], `Hnsw::from_bytes`, and the
-/// mapped-catalog opener).
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// Current cursor position (bytes consumed so far).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// True when every byte has been consumed.
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Fails with a `what`-labelled error unless the payload is fully
-    /// consumed — the strict "no trailing bytes" check every decoder
-    /// finishes with.
-    pub(crate) fn expect_end(&self, what: &str) -> Result<(), String> {
-        if self.at_end() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing bytes after {what} payload ({} of {} consumed)",
-                self.pos,
-                self.bytes.len()
-            ))
-        }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let slice = self.bytes.get(self.pos..end).unwrap_or(&[]);
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?.first().copied().unwrap_or(0))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let bytes = self.take(4)?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(bytes);
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let bytes = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, String> {
-        let len = self.u64()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| e.to_string())
-    }
-
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let len = self.u64()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            let bytes = self.take(8)?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(bytes);
-            out.push(f64::from_le_bytes(buf));
-        }
-        Ok(out)
-    }
+    let mut scored: Vec<(usize, f64)> = (0..source.count())
+        .map(|i| (i, source.similarity(i, query)))
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
 }
 
 #[cfg(test)]
@@ -847,63 +387,27 @@ mod tests {
     }
 
     #[test]
-    fn ivf_with_full_probe_matches_exact() {
-        let mut idx = VectorIndex::new();
-        for i in 0..40 {
-            let mut v = vec![0.0; 8];
-            v[i % 8] = 1.0;
-            v[(i + 1) % 8] = 0.3;
-            idx.add(format!("v{i}"), v);
-        }
-        let exact = idx.top_k(&unit(3, 8), 5);
-        idx.train_ivf(4, 4, 7);
-        let approx = idx.top_k_ivf(&unit(3, 8), 5);
-        assert_eq!(
-            exact.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            approx.iter().map(|(n, _)| n).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn ivf_narrow_probe_still_finds_near_cluster() {
-        let mut idx = VectorIndex::new();
-        // Two tight clusters along axes 0 and 5.
-        for i in 0..20 {
-            let mut v = vec![0.0; 8];
-            v[0] = 1.0;
-            v[1] = 0.01 * i as f64;
-            idx.add(format!("a{i}"), v);
-            let mut w = vec![0.0; 8];
-            w[5] = 1.0;
-            w[6] = 0.01 * i as f64;
-            idx.add(format!("b{i}"), w);
-        }
-        idx.train_ivf(2, 1, 3);
-        let hits = idx.top_k_ivf(&unit(0, 8), 3);
-        assert!(hits.iter().all(|(n, _)| n.starts_with('a')));
-    }
-
-    #[test]
     fn auto_tune_respects_threshold() {
         let mut small = VectorIndex::new();
-        for i in 0..VectorIndex::IVF_AUTO_THRESHOLD - 1 {
+        for i in 0..VectorIndex::HNSW_AUTO_THRESHOLD - 1 {
             small.add(format!("v{i}"), unit(i % 8, 8));
         }
+        small.build_hnsw(HnswConfig::default());
         assert_eq!(
             small.auto_tune(0),
             IndexTier::Exact,
             "below threshold stays exact"
         );
-        assert!(!small.has_ivf());
+        assert!(!small.has_hnsw(), "auto_tune drops a graph below threshold");
         assert_eq!(small.tier(), IndexTier::Exact);
         small.add("last", unit(0, 8));
         assert_eq!(
             small.auto_tune(0),
-            IndexTier::Ivf,
-            "at threshold trains IVF"
+            IndexTier::Hnsw,
+            "at threshold builds the graph"
         );
-        assert!(small.has_ivf());
-        assert_eq!(small.tier(), IndexTier::Ivf);
+        assert!(small.has_hnsw());
+        assert_eq!(small.tier(), IndexTier::Hnsw);
     }
 
     #[test]
@@ -925,19 +429,23 @@ mod tests {
             assert_eq!(na, nb);
             assert_eq!(sa.to_bits(), sb.to_bits(), "scores must match bitwise");
         }
+        let ids = idx.search_ids(&q, 5);
+        for ((id, s), (name, s2)) in ids.iter().zip(&approx) {
+            assert_eq!(idx.name(*id), Some(name.as_str()));
+            assert_eq!(s.to_bits(), s2.to_bits());
+        }
     }
 
     #[test]
-    fn register_extends_ivf_without_retrain() {
+    fn names_resolve_to_ids_by_scan() {
         let mut idx = VectorIndex::new();
-        for i in 0..40 {
-            idx.add(format!("v{i}"), unit(i % 8, 8));
-        }
-        idx.train_ivf(4, 4, 7);
-        idx.register("fresh", unit(2, 8));
-        assert!(idx.has_ivf(), "register must not invalidate IVF");
-        let hits = idx.top_k_ivf(&unit(2, 8), 41);
-        assert!(hits.iter().any(|(n, _)| n == "fresh"));
+        idx.add("a", unit(0, 3));
+        idx.add("b", unit(1, 3));
+        assert_eq!(idx.id_of("b"), Some(1));
+        assert_eq!(idx.id_of("c"), None);
+        assert_eq!(idx.name(1), Some("b"));
+        assert_eq!(idx.name(2), None);
+        assert_eq!(idx.vector(idx.id_of("a").unwrap()), Some(&unit(0, 3)[..]));
     }
 
     #[test]
@@ -982,78 +490,10 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, ["dup0", "dup1", "dup2", "dup3"]);
-        idx.train_ivf(2, 2, 0);
-        let ivf_names: Vec<String> = idx
-            .top_k_ivf(&unit(0, 4), 4)
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(ivf_names, ["dup0", "dup1", "dup2", "dup3"]);
         // NaN scores must rank deterministically instead of panicking the
         // comparator (the pre-total_cmp sort unwrapped partial_cmp).
         let nan_hits = idx.top_k(&[f64::NAN; 4], 3);
         assert_eq!(nan_hits.len(), 3);
-    }
-
-    #[test]
-    fn byte_roundtrip_preserves_index_bitwise() {
-        let mut idx = VectorIndex::new();
-        for i in 0..40 {
-            let mut v = vec![0.125 * i as f64; 8];
-            v[i % 8] = 1.0 + i as f64 * 0.001;
-            idx.add(format!("v{i}"), v);
-        }
-        idx.train_ivf(4, 2, 9);
-        let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
-        assert_eq!(restored.names, idx.names);
-        for (a, b) in idx.vectors.iter().zip(&restored.vectors) {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b));
-        }
-        assert!(restored.has_ivf());
-        let q = unit(3, 8);
-        let before: Vec<_> = idx.top_k_ivf(&q, 5);
-        let after: Vec<_> = restored.top_k_ivf(&q, 5);
-        assert_eq!(before.len(), after.len());
-        for ((na, sa), (nb, sb)) in before.iter().zip(&after) {
-            assert_eq!(na, nb);
-            assert_eq!(sa.to_bits(), sb.to_bits());
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_payloads() {
-        let mut idx = VectorIndex::new();
-        idx.add("a", unit(0, 4));
-        let bytes = idx.to_bytes();
-        // Dropping all three trailing tag bytes (IVF, HNSW, PQ) truncates
-        // mid-structure: the mandatory IVF tag itself is gone.
-        assert!(VectorIndex::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(VectorIndex::from_bytes(&trailing).is_err());
-        assert!(VectorIndex::from_bytes(&[0xff; 4]).is_err());
-        let empty = VectorIndex::new();
-        let restored = VectorIndex::from_bytes(&empty.to_bytes()).unwrap();
-        assert!(restored.is_empty());
-    }
-
-    #[test]
-    fn pre_hnsw_payloads_load_without_a_graph() {
-        let mut idx = VectorIndex::new();
-        idx.add("a", unit(0, 4));
-        let bytes = idx.to_bytes();
-        // A payload ending right after the IVF block is the pre-HNSW
-        // snapshot format; it must load with no graph, not error.
-        let legacy = VectorIndex::from_bytes(&bytes[..bytes.len() - 2]).unwrap();
-        assert!(!legacy.has_hnsw());
-        assert!(!legacy.is_quantized());
-        assert_eq!(legacy.len(), 1);
-        // A payload ending right after the HNSW block is the pre-PQ
-        // format; it must load unquantized.
-        let pre_pq = VectorIndex::from_bytes(&bytes[..bytes.len() - 1]).unwrap();
-        assert!(!pre_pq.is_quantized());
-        assert_eq!(pre_pq.len(), 1);
     }
 
     #[test]
@@ -1091,9 +531,9 @@ mod tests {
         }
         idx.build_hnsw(HnswConfig::default());
         idx.quantize(PqConfig::default()).unwrap();
-        let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
+        let restored = VectorIndex::from_mapped_bytes(idx.to_mapped_bytes().unwrap()).unwrap();
         assert!(restored.is_quantized());
-        assert_eq!(restored.to_bytes(), idx.to_bytes());
+        assert_eq!(restored.to_mapped_bytes(), idx.to_mapped_bytes());
         let q = unit(2, 6);
         let a = idx.search(&q, 5);
         let b = restored.search(&q, 5);
@@ -1109,21 +549,10 @@ mod tests {
             idx.add(format!("v{i}"), v);
         }
         idx.build_hnsw(HnswConfig::default());
-        let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
+        let restored = VectorIndex::from_mapped_bytes(idx.to_mapped_bytes().unwrap()).unwrap();
         assert!(restored.has_hnsw());
-        assert_eq!(restored.to_bytes(), idx.to_bytes());
+        assert_eq!(restored.to_mapped_bytes(), idx.to_mapped_bytes());
         let q = unit(2, 6);
         assert_eq!(idx.search(&q, 5), restored.search(&q, 5));
-    }
-
-    #[test]
-    fn adding_invalidates_ivf() {
-        let mut idx = VectorIndex::new();
-        idx.add("a", unit(0, 4));
-        idx.train_ivf(1, 1, 0);
-        idx.add("b", unit(1, 4));
-        // Falls back to exact search and still sees the new vector.
-        let hits = idx.top_k_ivf(&unit(1, 4), 1);
-        assert_eq!(hits[0].0, "b");
     }
 }

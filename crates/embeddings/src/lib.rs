@@ -12,11 +12,15 @@
 //!   from actual values (distribution sketches for numerics, hashed
 //!   character n-grams for strings) — the KGLac substitute,
 //! * [`table_embedding`] — mean-pooled, L2-normalized table vectors,
-//! * [`index::VectorIndex`] — tiered top-k cosine search (exact scan,
-//!   IVF partitions, deterministic HNSW graph) — the FAISS substitute,
+//! * [`index::VectorIndex`] — two-tier top-k cosine search (exact scan
+//!   below the measured crossover, deterministic HNSW graph above it) —
+//!   the FAISS substitute,
 //! * [`hnsw`] — the deterministic HNSW graph layer itself,
-//! * [`mapped`] — a read-only mapped catalog file (`KGVI`) so serve
-//!   replicas warm-start without copying vectors into owned buffers,
+//! * [`mapped`] — the `KGVI` catalog layout, the one on-disk form of an
+//!   index, and its read-only mapped reader so serve replicas warm-start
+//!   without copying vectors into owned buffers,
+//! * [`codec`] — the bounds-checked little-endian reader and writers
+//!   every binary format in the workspace decodes through,
 //! * [`pq`] — product quantization: compressed `u8` code storage with
 //!   ADC scoring under the tiers and an exact re-rank on top,
 //! * [`tsne`] — exact t-SNE for the Figure-10 qualitative analysis.
@@ -24,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod column;
 pub mod hnsw;
 pub mod index;

@@ -1,15 +1,16 @@
-//! Mapped read-only catalog files (`KGVI`) for serve-replica warm starts.
+//! The `KGVI` catalog layout: the one on-disk form of a similarity index.
 //!
-//! A serve replica that loads a million-table catalog through
-//! [`VectorIndex::from_bytes`] pays an owned allocation per vector and per
-//! name before it can answer its first query. The `KGVI` file sidesteps
-//! that: the whole catalog is read once into a single shared immutable
-//! buffer and *decoded in place* — vectors and names are addressed through
-//! in-file offset tables and never copied into owned buffers. (The
-//! workspace forbids `unsafe`, so the buffer comes from one `fs::read`
-//! rather than an OS `mmap(2)`; the layout is position-independent and
+//! Two readers share it. [`MappedIndex`] serves a catalog file read-only:
+//! the whole file is read once into a single shared immutable buffer and
+//! *decoded in place* — vectors and names are addressed through in-file
+//! offset tables and never copied into owned buffers. (The workspace
+//! forbids `unsafe`, so the buffer comes from one `fs::read` rather than
+//! an OS `mmap(2)`; the layout is position-independent and
 //! page-aligned-friendly so a real mapping could drop in without a format
-//! change.)
+//! change.) [`VectorIndex::from_mapped_bytes`] builds the owned, growable
+//! index from a validated [`MappedIndex`], so the layout has exactly one
+//! parser; model snapshots (`KGPS`) carry these bytes as their index
+//! section.
 //!
 //! # Layout
 //!
@@ -20,17 +21,20 @@
 //! repeated sections: u32 tag · u64 payload_len · payload
 //!   tag 1 header:  u64 count · u32 dim
 //!   tag 2 vectors: count × dim f64, catalog order (zero-copy scanned)
-//!   tag 3 names:   u64 count · (count+1) × u64 offsets · UTF-8 blob
 //!   tag 4 hnsw:    Hnsw::to_bytes payload (optional section)
 //!   tag 5 pq book: PqCodebook::to_bytes payload (optional section)
 //!   tag 6 pq codes: count × m u8 code matrix (zero-copy scanned;
 //!                   requires tag 5 and vice versa)
+//!   tag 3 names:   u64 count · (count+1) × u64 offsets · UTF-8 blob
 //! ```
 //!
-//! Unknown tags are skipped, mirroring the snapshot reader's
-//! forward-compatibility rule. Offsets and UTF-8 are validated once at
-//! [`MappedIndex::open`]; afterwards every accessor is panic-free and
-//! allocation-free.
+//! The reader accepts sections in any order; the writer emits them in
+//! the order above, with the required names section last, so a file cut
+//! short anywhere fails to open instead of opening as a catalog without
+//! its optional tail. Unknown tags are skipped, mirroring the snapshot
+//! reader's forward-compatibility rule. Offsets and UTF-8 are validated
+//! once at [`MappedIndex::open`]; afterwards every accessor is panic-free
+//! and allocation-free.
 //!
 //! # Bit-identity
 //!
@@ -42,9 +46,10 @@
 //!
 //! [`cosine`]: crate::column::cosine
 
+use crate::codec::{write_section, write_u32, write_u64, Reader};
 use crate::hnsw::{Hnsw, VectorSource};
-use crate::index::{write_u32, write_u64, IndexStats, IndexTier, Reader, VectorIndex};
-use crate::pq::{AdcTable, PqCodebook};
+use crate::index::{scan_top_k, search_store, IndexStats, IndexTier, VectorIndex};
+use crate::pq::{Pq, PqCodebook};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -168,10 +173,9 @@ impl MappedIndex {
         let blob = n.take(name_len.saturating_sub(n.pos()))?;
         n.expect_end("KGVI names")?;
         let mut prev = 0u64;
-        for (i, chunk) in table.chunks_exact(8).enumerate() {
-            let mut buf8 = [0u8; 8];
-            buf8.copy_from_slice(chunk);
-            let off = u64::from_le_bytes(buf8);
+        let mut table = Reader::new(table);
+        for i in 0..=count {
+            let off = table.u64()?;
             if off < prev || off as usize > blob.len() {
                 return Err(format!("KGVI name offset {i} out of order or out of range"));
             }
@@ -273,20 +277,9 @@ impl MappedIndex {
         self.pq_book.as_ref()
     }
 
-    /// The code row of the i-th vector, borrowed straight from the
-    /// mapped buffer (no decode, no copy).
-    fn code_row(&self, i: usize) -> Option<&[u8]> {
-        let book = self.pq_book.as_ref()?;
-        if i >= self.count {
-            return None;
-        }
-        let start = self.codes_start + i * book.m();
-        self.buf.get(start..start + book.m())
-    }
-
     /// Resident byte accounting per storage component, mirroring
     /// [`VectorIndex::stats`]. The tier is HNSW when the file carries a
-    /// graph, exact otherwise (`KGVI` files do not serialize IVF).
+    /// graph, exact otherwise.
     pub fn stats(&self) -> IndexStats {
         let tier = if self.hnsw.is_some() {
             IndexTier::Hnsw
@@ -303,7 +296,6 @@ impl MappedIndex {
             count: self.count,
             dim: self.dim,
             vector_bytes: self.count * self.dim * 8,
-            ivf_bytes: 0,
             hnsw_bytes: self.hnsw.as_ref().map_or(0, |h| h.to_bytes().len()),
             pq_bytes,
         }
@@ -321,17 +313,7 @@ impl MappedIndex {
     /// The i-th vector decoded into an owned buffer — for callers that
     /// need `&[f64]` semantics; the query path never calls this.
     pub fn vector(&self, i: usize) -> Option<Vec<f64>> {
-        let bytes = self.vector_bytes(i)?;
-        Some(
-            bytes
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(c);
-                    f64::from_le_bytes(buf)
-                })
-                .collect(),
-        )
+        Some(le_f64s(self.vector_bytes(i)?).collect())
     }
 
     /// Name of the i-th entry, borrowed straight from the mapped buffer.
@@ -360,109 +342,34 @@ impl MappedIndex {
 
     /// Top-k through the mapped catalog: HNSW when the file carries a
     /// graph, exact scan otherwise. Answers bit-identically to
-    /// [`VectorIndex::search`] over the same catalog and tier —
-    /// including quantized catalogs, where the beam reads the zero-copy
-    /// code matrix and the answer is re-ranked with exact cosine over
-    /// the mapped full-precision vectors.
+    /// [`VectorIndex::search`] over the same catalog and tier — both run
+    /// the same search — including quantized catalogs, where the
+    /// candidate scan reads the zero-copy code matrix and the answer is
+    /// re-ranked with exact cosine over the mapped full-precision vectors.
     pub fn top_k(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if let Some(book) = &self.pq_book {
-            return self.top_k_quantized(book, query, k);
-        }
-        match &self.hnsw {
-            Some(hnsw) => hnsw
-                .search(query, k, self)
-                .into_iter()
-                .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
-                .collect(),
-            None => self.top_k_exact(query, k),
-        }
+        self.named(search_store(self, self.hnsw.as_ref(), self.pq(), query, k))
     }
 
-    /// Quantized top-k, mirroring the owned `search_quantized` path: the
-    /// beam (or full scan) scores mapped code rows through one per-query
-    /// ADC table, then the top `rerank × k` candidates are re-scored
-    /// with [`cosine_bytes`] (bit-identical to owned `cosine`) and
-    /// ordered `(score desc, id asc)`.
-    fn top_k_quantized(&self, book: &PqCodebook, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        if k == 0 || self.count == 0 {
-            return Vec::new();
-        }
-        let table = book.adc_table(query);
-        let fetch = k.saturating_mul(book.rerank().max(1));
-        let candidates: Vec<usize> = match &self.hnsw {
-            Some(hnsw) => {
-                let source = MappedAdcSource {
-                    index: self,
-                    book,
-                    table: &table,
-                };
-                hnsw.search(query, fetch, &source)
-                    .into_iter()
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            None => {
-                let mut scored: Vec<(usize, f64)> = (0..self.count)
-                    .map(|i| (i, self.adc_score(book, &table, i)))
-                    .collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.into_iter().take(fetch).map(|(i, _)| i).collect()
-            }
-        };
-        let mut reranked: Vec<(usize, f64)> = candidates
-            .into_iter()
-            .map(|i| (i, self.similarity(i, query)))
-            .collect();
-        reranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        reranked
-            .into_iter()
-            .take(k)
-            .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
-            .collect()
-    }
-
-    /// ADC score of the i-th mapped code row (0.0 out of range).
-    fn adc_score(&self, book: &PqCodebook, table: &AdcTable, i: usize) -> f64 {
-        self.code_row(i)
-            .map_or(0.0, |row| book.score_codes(table, row))
+    /// The PQ codebooks and the `count × m` code matrix, borrowed
+    /// straight from the mapped buffer, when the file carries them.
+    fn pq(&self) -> Option<(&PqCodebook, &[u8])> {
+        let book = self.pq_book.as_ref()?;
+        let len = self.count * book.m();
+        let codes = self.buf.get(self.codes_start..self.codes_start + len)?;
+        Some((book, codes))
     }
 
     /// Exact top-k over the mapped vectors, mirroring
     /// [`VectorIndex::top_k`]'s scoring and `(score, id)` ordering.
     pub fn top_k_exact(&self, query: &[f64], k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(usize, f64)> = (0..self.count)
-            .map(|i| (i, self.similarity(i, query)))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-            .into_iter()
-            .take(k)
+        self.named(scan_top_k(self, None, query, k))
+    }
+
+    /// Maps `(id, score)` hits to `(name, score)`.
+    fn named(&self, hits: Vec<(usize, f64)>) -> Vec<(String, f64)> {
+        hits.into_iter()
             .filter_map(|(i, s)| self.name(i).map(|n| (n.to_string(), s)))
             .collect()
-    }
-}
-
-/// A [`VectorSource`] over a mapped quantized catalog: `similarity`
-/// scores zero-copy code rows through the prebuilt ADC tables (the query
-/// argument is already folded in). Search-only — `pair_similarity` is
-/// never called by `Hnsw::search` and answers 0.0.
-struct MappedAdcSource<'a> {
-    index: &'a MappedIndex,
-    book: &'a PqCodebook,
-    table: &'a AdcTable,
-}
-
-impl VectorSource for MappedAdcSource<'_> {
-    fn count(&self) -> usize {
-        self.index.count
-    }
-
-    fn similarity(&self, i: usize, _query: &[f64]) -> f64 {
-        self.index.adc_score(self.book, self.table, i)
-    }
-
-    fn pair_similarity(&self, _i: usize, _j: usize) -> f64 {
-        0.0
     }
 }
 
@@ -478,11 +385,18 @@ impl VectorSource for MappedIndex {
 
     fn pair_similarity(&self, i: usize, j: usize) -> f64 {
         // Argument order mirrors `SliceSource`: cosine(vec_j, vec_i).
-        match (self.vector_bytes(i), self.vector_bytes(j)) {
-            (Some(a), Some(b)) => cosine_bytes_pair(b, a),
-            _ => 0.0,
-        }
+        self.vector(j)
+            .map_or(0.0, |query| self.similarity(i, &query))
     }
+}
+
+/// Decodes a little-endian `f64` payload in place.
+fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|c| {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(c);
+        f64::from_le_bytes(buf)
+    })
 }
 
 /// Cosine between an owned query and a little-endian vector payload,
@@ -493,73 +407,14 @@ impl VectorSource for MappedIndex {
 ///
 /// [`cosine`]: crate::column::cosine
 fn cosine_bytes(query: &[f64], bytes: &[u8]) -> f64 {
-    let dot: f64 = query
-        .iter()
-        .zip(bytes.chunks_exact(8))
-        .map(|(x, c)| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(c);
-            x * f64::from_le_bytes(buf)
-        })
-        .sum();
+    let dot: f64 = query.iter().zip(le_f64s(bytes)).map(|(x, y)| x * y).sum();
     let na: f64 = query.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(c);
-            let y = f64::from_le_bytes(buf);
-            y * y
-        })
-        .sum::<f64>()
-        .sqrt();
+    let nb: f64 = le_f64s(bytes).map(|y| y * y).sum::<f64>().sqrt();
     if na < 1e-12 || nb < 1e-12 {
         0.0
     } else {
         dot / (na * nb)
     }
-}
-
-/// [`cosine_bytes`] where both sides are mapped payloads (`a` plays the
-/// query role).
-fn cosine_bytes_pair(a: &[u8], b: &[u8]) -> f64 {
-    let decode = |c: &[u8]| {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(c);
-        f64::from_le_bytes(buf)
-    };
-    let dot: f64 = a
-        .chunks_exact(8)
-        .zip(b.chunks_exact(8))
-        .map(|(x, y)| decode(x) * decode(y))
-        .sum();
-    let na: f64 = a
-        .chunks_exact(8)
-        .map(|c| {
-            let x = decode(c);
-            x * x
-        })
-        .sum::<f64>()
-        .sqrt();
-    let nb: f64 = b
-        .chunks_exact(8)
-        .map(|c| {
-            let y = decode(c);
-            y * y
-        })
-        .sum::<f64>()
-        .sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
-fn section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    write_u32(out, tag);
-    write_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
 }
 
 impl VectorIndex {
@@ -580,14 +435,14 @@ impl VectorIndex {
         let mut header = Vec::new();
         write_u64(&mut header, self.vectors.len() as u64);
         write_u32(&mut header, dim as u32);
-        section(&mut out, TAG_HEADER, &header);
+        write_section(&mut out, TAG_HEADER, &header);
         let mut vecs = Vec::with_capacity(self.vectors.len() * dim * 8);
         for v in &self.vectors {
             for x in v {
                 vecs.extend_from_slice(&x.to_le_bytes());
             }
         }
-        section(&mut out, TAG_VECTORS, &vecs);
+        write_section(&mut out, TAG_VECTORS, &vecs);
         let mut names = Vec::new();
         write_u64(&mut names, self.names.len() as u64);
         let mut off = 0u64;
@@ -599,15 +454,38 @@ impl VectorIndex {
         for n in &self.names {
             names.extend_from_slice(n.as_bytes());
         }
-        section(&mut out, TAG_NAMES, &names);
         if let Some(hnsw) = self.hnsw() {
-            section(&mut out, TAG_HNSW, &hnsw.to_bytes());
+            write_section(&mut out, TAG_HNSW, &hnsw.to_bytes());
         }
         if let Some(pq) = self.pq() {
-            section(&mut out, TAG_PQ_BOOK, &pq.book().to_bytes());
-            section(&mut out, TAG_PQ_CODES, pq.codes());
+            write_section(&mut out, TAG_PQ_BOOK, &pq.book().to_bytes());
+            write_section(&mut out, TAG_PQ_CODES, pq.codes());
         }
+        // The required names section goes last, after the optional ones:
+        // every proper prefix of the file then lacks it or cuts it short,
+        // so a truncated file never opens as a smaller valid catalog.
+        write_section(&mut out, TAG_NAMES, &names);
         Ok(out)
+    }
+
+    /// Restores an owned index from [`VectorIndex::to_mapped_bytes`]
+    /// output: the bytes are validated by [`MappedIndex::from_vec`], then
+    /// names, vectors, graph and PQ state are copied out of the mapped
+    /// view. Round-trips bit-for-bit.
+    pub fn from_mapped_bytes(bytes: Vec<u8>) -> Result<VectorIndex, String> {
+        let mapped = MappedIndex::from_vec(bytes)?;
+        let mut index = VectorIndex::new();
+        for i in 0..mapped.count {
+            index
+                .names
+                .push(mapped.name(i).unwrap_or_default().to_string());
+            index.vectors.push(mapped.vector(i).unwrap_or_default());
+        }
+        index.hnsw = mapped.hnsw.clone();
+        index.pq = mapped
+            .pq()
+            .map(|(book, codes)| Pq::from_parts(book.clone(), codes.to_vec()));
+        Ok(index)
     }
 
     /// Writes the `KGVI` mapped catalog to `path` for serve replicas to
@@ -716,7 +594,7 @@ mod tests {
         let idx = catalog(4, 2);
         let mut bytes = idx.to_mapped_bytes().unwrap();
         // Append an unknown tag-99 section; the reader must ignore it.
-        section(&mut bytes, 99, b"future data");
+        write_section(&mut bytes, 99, b"future data");
         let mapped = MappedIndex::from_vec(bytes).unwrap();
         assert_eq!(mapped.len(), 4);
     }
@@ -766,34 +644,25 @@ mod tests {
         })
         .unwrap();
         let full = idx.to_mapped_bytes().unwrap();
-        // Rebuild the file keeping every section except tag-6 codes: a
-        // book without its matrix must be rejected, not half-loaded.
-        let mut r = Reader::new(&full);
-        r.take(8).unwrap(); // magic + version
-        let mut stripped = full[..8].to_vec();
-        while !r.at_end() {
-            let tag = r.u32().unwrap();
-            let len = r.u64().unwrap() as usize;
-            let payload = r.take(len).unwrap();
-            if tag != TAG_PQ_CODES {
-                section(&mut stripped, tag, payload);
+        // Rebuilds the file without the sections tagged in `drop`.
+        let without = |drop: &[u32]| {
+            let mut r = Reader::new(&full);
+            let mut out = r.take(8).unwrap().to_vec(); // magic + version
+            while !r.at_end() {
+                let tag = r.u32().unwrap();
+                let len = r.u64().unwrap() as usize;
+                let payload = r.take(len).unwrap();
+                if !drop.contains(&tag) {
+                    write_section(&mut out, tag, payload);
+                }
             }
-        }
-        assert!(MappedIndex::from_vec(stripped).is_err());
+            out
+        };
+        // A book without its matrix must be rejected, not half-loaded.
+        assert!(MappedIndex::from_vec(without(&[TAG_PQ_CODES])).is_err());
         // Dropping both PQ sections is the pre-PQ file: loads, answers
         // full-precision.
-        let mut r = Reader::new(&full);
-        r.take(8).unwrap();
-        let mut pre_pq = full[..8].to_vec();
-        while !r.at_end() {
-            let tag = r.u32().unwrap();
-            let len = r.u64().unwrap() as usize;
-            let payload = r.take(len).unwrap();
-            if tag != TAG_PQ_CODES && tag != TAG_PQ_BOOK {
-                section(&mut pre_pq, tag, payload);
-            }
-        }
-        let mapped = MappedIndex::from_vec(pre_pq).unwrap();
+        let mapped = MappedIndex::from_vec(without(&[TAG_PQ_CODES, TAG_PQ_BOOK])).unwrap();
         assert!(!mapped.is_quantized());
         assert_eq!(mapped.len(), 20);
     }

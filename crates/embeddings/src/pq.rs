@@ -3,7 +3,7 @@
 //! The paper's serving story is a nearest-dataset lookup over a large
 //! embedding catalog; at KGLiDS scale (millions of tables) the full-`f64`
 //! vector block becomes the memory and cache-bandwidth ceiling of a serve
-//! replica. Product quantization (Jégou et al., the FAISS `IndexIVFPQ`
+//! replica. Product quantization (Jégou et al., the FAISS `IndexPQ`
 //! family) shrinks each `dim`-dimensional vector to `m` bytes: the vector
 //! is split into `m` contiguous subspaces, each subspace gets a 256-entry
 //! codebook trained with the house seeded k-means, and a vector is stored
@@ -23,7 +23,7 @@
 //!
 //! PQ is a storage/scoring layer under the existing tiers, not a new
 //! tier. Compression changes what a query *costs*, never what `top_k`
-//! *returns*: the beam (HNSW descent or IVF list scan) reads codes, the
+//! *returns*: the beam (HNSW descent or the full scan) reads codes, the
 //! top `rerank × k` candidates are re-scored with exact [`cosine`] over
 //! the retained full-precision vectors, and the final `(score desc, id
 //! asc)` order is computed from those exact scores. Whenever the rerank
@@ -42,8 +42,8 @@
 //!
 //! [`cosine`]: crate::column::cosine
 
+use crate::codec::{write_u32, write_u64, Reader};
 use crate::hnsw::VectorSource;
-use crate::index::{write_u32, write_u64, Reader};
 use kgpip_tabular::parallel::effective_parallelism;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,7 +62,7 @@ const KMEANS_ITERS: usize = 15;
 pub const TRAIN_SAMPLE: usize = 16_384;
 
 /// Product-quantization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PqConfig {
     /// Number of subspaces — the compressed size in bytes per vector.
     /// Clamped to `[1, dim]` at fit time.
@@ -87,7 +87,7 @@ impl Default for PqConfig {
 /// Trained per-subspace codebooks (no codes) — the part of the PQ state
 /// a mapped (`KGVI`) reader parses owned while the code matrix stays
 /// zero-copy in the file buffer.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PqCodebook {
     m: usize,
     dim: usize,
@@ -164,9 +164,9 @@ fn nearest_centroid(block: &[f64], len: usize, row: &[f64]) -> usize {
 /// Runs `f` over `0..n` on a rayon pool clamped by
 /// [`effective_parallelism`], collecting results in input order — the
 /// reduction is index-ordered, so any worker count (including the
-/// sequential fallback) produces bit-identical output. Shared by the IVF
-/// k-means assignment step and PQ codebook training/encoding.
-pub(crate) fn par_map_indices<T, F>(n: usize, requested: usize, f: F) -> Vec<T>
+/// sequential fallback) produces bit-identical output. Used by PQ
+/// codebook training and encoding.
+fn par_map_indices<T, F>(n: usize, requested: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -311,14 +311,6 @@ impl PqCodebook {
     /// validating the geometry so every later accessor is panic-free.
     pub fn from_bytes(bytes: &[u8]) -> Result<PqCodebook, String> {
         let mut r = Reader::new(bytes);
-        let book = PqCodebook::read(&mut r)?;
-        r.expect_end("PQ codebook")?;
-        Ok(book)
-    }
-
-    /// Reads a codebook payload at the cursor (shared by the standalone
-    /// and embedded decoders).
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<PqCodebook, String> {
         let m = r.u32()? as usize;
         let dim = r.u32()? as usize;
         let ksub = r.u32()? as usize;
@@ -330,20 +322,18 @@ impl PqCodebook {
         if ksub == 0 || ksub > KSUB_MAX {
             return Err(format!("PQ codebook size {ksub} out of range"));
         }
-        let cb_len = r.u64()? as usize;
+        let cb_len = r.count(8)?;
         if cb_len != ksub * dim {
             return Err(format!(
                 "PQ codebooks hold {cb_len} values, geometry implies {}",
                 ksub * dim
             ));
         }
-        let mut codebooks = Vec::with_capacity(cb_len.min(1 << 24));
+        let mut codebooks = Vec::with_capacity(cb_len);
         for _ in 0..cb_len {
-            let chunk = r.take(8)?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(chunk);
-            codebooks.push(f64::from_le_bytes(buf));
+            codebooks.push(r.f64()?);
         }
+        r.expect_end("PQ codebook")?;
         Ok(PqCodebook {
             m,
             dim,
@@ -472,7 +462,7 @@ impl PqCodebook {
 /// `n × m` row-major code matrix.
 ///
 /// [`VectorIndex`]: crate::index::VectorIndex
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pq {
     book: PqCodebook,
     /// `n × m` row-major codes, one byte per `(vector, subspace)`.
@@ -508,11 +498,6 @@ impl Pq {
         self.codes.is_empty()
     }
 
-    /// Re-rank window multiplier (≥ 1).
-    pub fn rerank(&self) -> usize {
-        self.book.rerank.max(1)
-    }
-
     /// The raw `n × m` code matrix — the `KGVI` tag-6 payload.
     pub fn codes(&self) -> &[u8] {
         &self.codes
@@ -527,18 +512,6 @@ impl Pq {
         self.codes.get(i * m..i * m + m)
     }
 
-    /// Builds the per-query ADC tables.
-    pub fn adc_table(&self, query: &[f64]) -> AdcTable {
-        self.book.adc_table(query)
-    }
-
-    /// ADC score of the i-th stored vector (0.0 out of range — the
-    /// [`VectorSource`] convention).
-    pub fn score(&self, table: &AdcTable, i: usize) -> f64 {
-        self.code_row(i)
-            .map_or(0.0, |row| self.book.score_codes(table, row))
-    }
-
     /// Encodes one new vector against the frozen codebooks and appends
     /// its code row — the online `register` path; never retrains.
     pub fn append(&mut self, v: &[f64]) {
@@ -551,70 +524,50 @@ impl Pq {
         self.codes.len() + self.book.codebook_bytes()
     }
 
-    /// Serializes the full PQ state (codebooks + code matrix) — the
-    /// payload embedded in [`VectorIndex::to_bytes`].
-    ///
-    /// [`VectorIndex::to_bytes`]: crate::index::VectorIndex::to_bytes
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.book.to_bytes();
-        write_u64(&mut out, self.codes.len() as u64);
-        out.extend_from_slice(&self.codes);
-        out
-    }
-
-    /// Restores PQ state from [`Pq::to_bytes`] output; strict about
-    /// geometry (code matrix must be whole rows of in-range codes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Pq, String> {
-        let mut r = Reader::new(bytes);
-        let book = PqCodebook::read(&mut r)?;
-        let code_len = r.u64()? as usize;
-        let codes = r.take(code_len)?.to_vec();
-        r.expect_end("PQ state")?;
-        let pq = Pq { book, codes };
-        pq.validate()?;
-        Ok(pq)
-    }
-
-    /// Checks the code matrix is whole rows of in-range codebook ids.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.book.m == 0 || !self.codes.len().is_multiple_of(self.book.m) {
-            return Err(format!(
-                "PQ code matrix of {} bytes is not whole {}-byte rows",
-                self.codes.len(),
-                self.book.m
-            ));
-        }
-        if let Some(&bad) = self.codes.iter().find(|&&c| c as usize >= self.book.ksub) {
-            return Err(format!(
-                "PQ code {bad} out of range for a {}-entry codebook",
-                self.book.ksub
-            ));
-        }
-        Ok(())
+    /// Reassembles PQ state from codebooks and a code matrix a decoder
+    /// has already validated against them (whole rows of in-range ids).
+    pub(crate) fn from_parts(book: PqCodebook, codes: Vec<u8>) -> Pq {
+        Pq { book, codes }
     }
 }
 
-/// A [`VectorSource`] view of a quantized catalog: `similarity` reads the
-/// prebuilt ADC tables (the query argument is already folded in), so the
-/// HNSW beam descends over codes without touching full-precision vectors.
-/// Search-only — `pair_similarity` (the insert path) is never called by
+/// A [`VectorSource`] view of a quantized catalog — an owned [`Pq`]'s
+/// code matrix or a mapped file's — for one query: `similarity` scores
+/// code rows through the query's prebuilt ADC tables (the query argument
+/// is already folded in), so the HNSW beam or full scan reads codes
+/// without touching full-precision vectors. Search-only —
+/// `pair_similarity` (the insert path) is never called by
 /// [`Hnsw::search`] and answers 0.0.
 ///
 /// [`Hnsw::search`]: crate::hnsw::Hnsw::search
 pub struct AdcSource<'a> {
-    /// The quantized catalog.
-    pub pq: &'a Pq,
-    /// The query's ADC tables.
-    pub table: &'a AdcTable,
+    book: &'a PqCodebook,
+    codes: &'a [u8],
+    table: AdcTable,
+}
+
+impl<'a> AdcSource<'a> {
+    /// Scores the `n × m` row-major `codes`, encoded against `book`,
+    /// for `query`.
+    pub fn new(book: &'a PqCodebook, codes: &'a [u8], query: &[f64]) -> AdcSource<'a> {
+        AdcSource {
+            book,
+            codes,
+            table: book.adc_table(query),
+        }
+    }
 }
 
 impl VectorSource for AdcSource<'_> {
     fn count(&self) -> usize {
-        self.pq.len()
+        self.codes.len() / self.book.m.max(1)
     }
 
     fn similarity(&self, i: usize, _query: &[f64]) -> f64 {
-        self.pq.score(self.table, i)
+        let m = self.book.m;
+        self.codes
+            .get(i * m..i * m + m)
+            .map_or(0.0, |row| self.book.score_codes(&self.table, row))
     }
 
     fn pair_similarity(&self, _i: usize, _j: usize) -> f64 {
@@ -651,7 +604,7 @@ mod tests {
         let cfg = PqConfig::default();
         let a = Pq::fit(&v, &cfg, 1).unwrap();
         let b = Pq::fit(&v, &cfg, 1).unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -689,11 +642,11 @@ mod tests {
         )
         .unwrap();
         let query: Vec<f64> = (0..9).map(|d| (d as f64 * 0.71).cos()).collect();
-        let table = pq.adc_table(&query);
+        let codes = AdcSource::new(pq.book(), pq.codes(), &query);
         for i in 0..v.len() {
             let rec = pq.book().reconstruct(pq.code_row(i).unwrap());
             let want = crate::column::cosine(&query, &rec);
-            let got = pq.score(&table, i);
+            let got = codes.similarity(i, &query);
             assert!(
                 (want - got).abs() < 1e-9,
                 "vector {i}: adc {got} vs cosine-of-reconstruction {want}"
@@ -702,16 +655,16 @@ mod tests {
     }
 
     #[test]
-    fn byte_roundtrip_is_bitwise() {
+    fn codebook_byte_roundtrip_is_bitwise() {
         let v = vecs(64, 10);
         let pq = Pq::fit(&v, &PqConfig::default(), 1).unwrap();
-        let restored = Pq::from_bytes(&pq.to_bytes()).unwrap();
-        assert_eq!(restored, pq);
-        assert_eq!(restored.to_bytes(), pq.to_bytes());
+        let restored = PqCodebook::from_bytes(&pq.book().to_bytes()).unwrap();
+        assert_eq!(&restored, pq.book());
+        assert_eq!(restored.to_bytes(), pq.book().to_bytes());
     }
 
     #[test]
-    fn from_bytes_rejects_malformed_state() {
+    fn codebook_from_bytes_rejects_malformed_state() {
         let v = vecs(10, 6);
         let pq = Pq::fit(
             &v,
@@ -722,12 +675,12 @@ mod tests {
             1,
         )
         .unwrap();
-        let bytes = pq.to_bytes();
-        assert!(Pq::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        let bytes = pq.book().to_bytes();
+        assert!(PqCodebook::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(Pq::from_bytes(&trailing).is_err());
-        assert!(Pq::from_bytes(&[0u8; 8]).is_err());
+        assert!(PqCodebook::from_bytes(&trailing).is_err());
+        assert!(PqCodebook::from_bytes(&[0u8; 8]).is_err());
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! * encode/decode reconstruction error is bounded (and exact when every
 //!   training row gets its own centroid),
 //! * the mapped (`KGVI`) quantized catalog answers bit-identically to
-//!   the owned index, through a disk round-trip,
-//! * pre-PQ readers of new `.kgvi` files and new readers of pre-PQ
-//!   files both keep working (tagged-section skipping).
+//!   the owned index, through a disk round-trip.
 
 use kgpip_embeddings::{HnswConfig, MappedIndex, PqConfig, VectorIndex};
 use proptest::prelude::*;
@@ -70,28 +68,6 @@ proptest! {
             prop_assert_eq!(sa.to_bits(), sb.to_bits());
         }
     }
-
-    /// IVF-tier quantized search degenerates to the unquantized IVF
-    /// answer when the rerank window covers everything the probes scan.
-    #[test]
-    fn quantized_ivf_equals_unquantized_ivf_when_rerank_covers_probes(
-        n in 20usize..60,
-        nlist in 2usize..6,
-        phase in -3.0f64..3.0,
-    ) {
-        let vecs = vectors(n, 6, phase);
-        let mut idx = catalog(&vecs);
-        idx.train_ivf(nlist, nlist, 7);
-        let k = 5usize;
-        let unquantized = idx.search(&vecs[1], k);
-        idx.quantize(PqConfig { m: 3, rerank: n / k + 1, seed: 0 }).unwrap();
-        let quantized = idx.search(&vecs[1], k);
-        prop_assert_eq!(unquantized.len(), quantized.len());
-        for ((na, sa), (nb, sb)) in unquantized.iter().zip(&quantized) {
-            prop_assert_eq!(na, nb);
-            prop_assert_eq!(sa.to_bits(), sb.to_bits());
-        }
-    }
 }
 
 /// Codebook training and encoding are bit-identical at any requested
@@ -109,33 +85,12 @@ fn codebooks_are_bit_identical_across_worker_counts() {
         let mut idx = catalog(&vecs);
         idx.set_parallelism(workers);
         idx.quantize(config).unwrap();
-        let bytes = idx.to_bytes();
+        let bytes = idx.to_mapped_bytes().unwrap();
         match &baseline {
             None => baseline = Some(bytes),
             Some(b) => assert_eq!(
                 b, &bytes,
                 "worker count {workers} changed the quantized index bytes"
-            ),
-        }
-    }
-}
-
-/// IVF k-means (the parallelized assignment step) is likewise
-/// bit-identical at any worker count.
-#[test]
-fn ivf_training_is_bit_identical_across_worker_counts() {
-    let vecs = vectors(300, 8, 1.0);
-    let mut baseline: Option<Vec<u8>> = None;
-    for workers in [0usize, 1, 2, 4] {
-        let mut idx = catalog(&vecs);
-        idx.set_parallelism(workers);
-        idx.train_ivf(17, 4, 9);
-        let bytes = idx.to_bytes();
-        match &baseline {
-            None => baseline = Some(bytes),
-            Some(b) => assert_eq!(
-                b, &bytes,
-                "worker count {workers} changed the IVF index bytes"
             ),
         }
     }
@@ -233,40 +188,6 @@ fn mapped_quantized_roundtrip_matches_owned() {
     );
     assert_eq!(stats.resident_bytes(), idx.stats().resident_bytes());
     std::fs::remove_file(&path).ok();
-}
-
-/// Old readers skip unknown tagged sections; new readers load pre-PQ
-/// payloads unquantized. Both directions of forward compatibility.
-#[test]
-fn old_and_new_readers_interoperate() {
-    let vecs = vectors(40, 8, 0.0);
-    // New reader, pre-PQ binary payload: serialize unquantized, load,
-    // stays unquantized.
-    let idx = catalog(&vecs);
-    let restored = VectorIndex::from_bytes(&idx.to_bytes()).unwrap();
-    assert!(!restored.is_quantized());
-    // New reader, quantized payload round-trip.
-    let mut quantized = catalog(&vecs);
-    quantized
-        .quantize(PqConfig {
-            m: 4,
-            rerank: 2,
-            seed: 0,
-        })
-        .unwrap();
-    let restored = VectorIndex::from_bytes(&quantized.to_bytes()).unwrap();
-    assert!(restored.is_quantized());
-    // A pre-PQ reader sees the PQ tail as the trailing optional block it
-    // never reads — the binary format grows strictly by appending, so
-    // the quantized payload is a strict prefix-extension of the
-    // unquantized one.
-    let plain = idx.to_bytes();
-    let with_pq = quantized.to_bytes();
-    assert_eq!(
-        &with_pq[..plain.len() - 1],
-        &plain[..plain.len() - 1],
-        "PQ must extend the payload, not rewrite it"
-    );
 }
 
 /// Online `register` on a quantized index encodes against the frozen

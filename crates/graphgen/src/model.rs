@@ -148,7 +148,7 @@ pub struct GeneratedGraph {
 }
 
 /// The deep graph generator.
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, serde::Serialize)]
 pub struct GraphGenerator {
     pub(crate) config: GeneratorConfig,
     pub(crate) store: ParamStore,

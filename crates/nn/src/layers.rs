@@ -16,7 +16,7 @@ use crate::Result;
 use rand::rngs::StdRng;
 
 /// A dense layer `y = x·W + b`.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct Linear {
     w: ParamId,
     b: ParamId,
@@ -57,7 +57,7 @@ impl Linear {
 
 /// A GRU cell updating node states from aggregated messages, as used for
 /// the graph propagation of Li et al. (2018): `h' = GRU(h, m)`.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct GruCell {
     wz: Linear,
     wr: Linear,
@@ -153,7 +153,7 @@ pub struct GruScratch {
 
 /// A two-layer MLP with ReLU hidden activation, used for the generator's
 /// decision heads.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct Mlp {
     l1: Linear,
     l2: Linear,

@@ -5,11 +5,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Handle to a parameter tensor inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct ParamId(pub(crate) usize);
 
 /// Owns all trainable tensors of a model plus their accumulated gradients.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ParamStore {
     values: Vec<Tensor>,
     grads: Vec<Tensor>,

@@ -29,7 +29,7 @@ pub(crate) fn relu(x: f32) -> f32 {
 
 /// A dense row-major matrix of `f32`. Vectors are 1×n or n×1 matrices.
 /// The default is the empty 0×0 matrix (a scratch buffer before first use).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     rows: usize,

@@ -91,12 +91,14 @@ impl WorkspaceConfig {
         // kgpip-embeddings: compute rules plus the serve-path panic rule
         // on the similarity tiers a serving process runs — the HNSW
         // graph, the mapped (`KGVI`) catalog, and the product-quantized
-        // store its scans read. A malformed index file or a query of any
+        // store its scans read — and on the byte codec every artifact
+        // decoder reads through. A malformed index file or a query of any
         // shape must surface as a Result or an empty answer, never a
         // panic in a worker.
         let mut embeddings = compute("crates/embeddings");
         embeddings.rules.push("panic-in-serve-path".to_string());
         embeddings.panic_files = vec![
+            "src/codec.rs".to_string(),
             "src/hnsw.rs".to_string(),
             "src/mapped.rs".to_string(),
             "src/pq.rs".to_string(),
@@ -204,6 +206,7 @@ mod tests {
             .find(|c| c.path == "crates/embeddings")
             .unwrap();
         assert!(embeddings.parsed_rules().contains(&Rule::PanicInServePath));
+        assert!(embeddings.panic_file_in_scope("src/codec.rs"));
         assert!(embeddings.panic_file_in_scope("src/hnsw.rs"));
         assert!(embeddings.panic_file_in_scope("src/mapped.rs"));
         assert!(embeddings.panic_file_in_scope("src/pq.rs"));

@@ -41,8 +41,10 @@ cargo test -p kgpip-embeddings --test pq -q
 echo "==> cache-equivalence suite (trial caches change cost, never results)"
 cargo test -p kgpip-hpo --test cache_equivalence -q
 
-echo "==> artifact suite (snapshot round-trips bit-for-bit; serving is bit-identical to direct prediction)"
+echo "==> artifact suite (snapshot round-trips bit-for-bit; decoders are total over hostile bytes; serving is bit-identical to direct prediction)"
 cargo test -p kgpip --test snapshot_roundtrip -q
+cargo test -p kgpip-embeddings --lib codec:: -q
+cargo test -p kgpip --test hostile_bytes -q
 cargo test -p kgpip-serve -q
 
 echo "==> lint-corpus (fixed-seed graph invariant gate)"

@@ -1,9 +1,8 @@
-//! `kgpip-cli` — train, snapshot, and serve KGpip models from the command
-//! line.
+//! `kgpip-cli` — train, predict with, and serve KGpip models from the
+//! command line.
 //!
 //! ```text
 //! kgpip-cli train   --scripts DIR --tables DIR --out model.kgps [--epochs N] [--seed S]
-//! kgpip-cli snapshot --model model.json --out model.kgps
 //! kgpip-cli predict --model model.kgps --data data.csv --target COL [--k 3]
 //! kgpip-cli predict --model model.kgps --data big.csv --chunked
 //!                   [--chunk-rows 8192] [--workers N]
@@ -25,11 +24,9 @@
 //! kgpip-cli index stats --index catalog.kgvi
 //! ```
 //!
-//! Model files: `--model` everywhere accepts both the binary snapshot
-//! format (`.kgps`, written by `train`/`snapshot`) and the JSON-era
-//! format — the loader sniffs the file magic. `train` writes a snapshot
-//! unless `--out` ends in `.json`; `snapshot` converts either format to a
-//! snapshot.
+//! Model files: `train` writes, and `--model` everywhere reads, the
+//! binary `KGPS` snapshot format (`.kgps`), the one persistence format of
+//! a trained model.
 //!
 //! `serve` starts the batched prediction service and reads requests from
 //! stdin, one CSV path per line; each line is answered with the top-K
@@ -59,10 +56,11 @@
 //! `index` manages standalone `.kgvi` similarity-catalog files, the
 //! mmap-backed format a serving process opens read-only for warm starts.
 //! `build` exports a model's catalog (`--model`) or a seeded synthetic
-//! one (`--n/--dim/--clusters`); `--tier auto` builds the HNSW graph
-//! once the catalog crosses the auto-tune threshold. (IVF is an
-//! in-memory mid-band tier and is not serialized to `.kgvi` files.)
-//! `--pq m=8,rerank=4` product-quantizes the vector store before export:
+//! one (`--n/--dim/--clusters`); `--tier auto` applies the same
+//! `VectorIndex::auto_tune` policy a trained model serves with (HNSW at
+//! and above the auto-tune threshold, PQ at catalog scale), `--tier hnsw`
+//! always builds the graph, and `--tier exact` exports the catalog as it
+//! is. `--pq m=8,rerank=4` product-quantizes the vector store before export:
 //! tier scans read compact codes with an exact top-`rerank × k` re-rank,
 //! so answers stay exact-ordered while resident bytes shrink.
 //! `query` measures queries/sec over seeded synthetic probes and, with
@@ -94,7 +92,6 @@ fn main() {
     };
     let result = match command {
         "train" => cmd_train(&flag),
-        "snapshot" => cmd_snapshot(&flag),
         "predict" => cmd_predict(&args, &flag),
         "run" => cmd_run(&flag),
         "serve" => cmd_serve(&flag),
@@ -104,7 +101,7 @@ fn main() {
         "index" => cmd_index(&args, &flag),
         _ => {
             eprintln!(
-                "usage: kgpip-cli <train|snapshot|predict|run|serve|demo|lint-corpus|xlint|index> [flags]\n\
+                "usage: kgpip-cli <train|predict|run|serve|demo|lint-corpus|xlint|index> [flags]\n\
                  see the module docs (`kgpip-cli --help` output) for flags"
             );
             exit(2);
@@ -185,30 +182,8 @@ fn cmd_train(flag: &impl Fn(&str) -> Option<String>) -> CliResult {
         "trained: {}/{} scripts usable, {} datasets, {:.1}s generator training",
         stats.valid_pipelines, stats.scripts, stats.datasets, stats.training_secs
     );
-    if out.ends_with(".json") {
-        // JSON-era compatibility output (keeps the full training run,
-        // Graph4ML and stats included).
-        #[allow(deprecated)]
-        model.save(&out)?;
-    } else {
-        model.artifact().snapshot(&out)?;
-    }
+    model.artifact().snapshot(&out)?;
     eprintln!("model written to {out}");
-    Ok(())
-}
-
-/// Converts a model file (JSON-era or snapshot) into the binary snapshot
-/// format.
-fn cmd_snapshot(flag: &impl Fn(&str) -> Option<String>) -> CliResult {
-    let model_path = require(flag, "--model")?;
-    let out = require(flag, "--out")?;
-    let model = TrainedModel::open(&model_path)?;
-    model.snapshot(&out)?;
-    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    eprintln!(
-        "snapshot written to {out} ({} datasets, {bytes} bytes)",
-        model.catalog_len()
-    );
     Ok(())
 }
 
@@ -580,17 +555,16 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
                 }
                 idx
             };
-            let want_hnsw = match tier.as_str() {
-                "hnsw" => true,
-                "exact" => false,
-                "auto" => index.len() >= VectorIndex::HNSW_AUTO_THRESHOLD,
-                other => return Err(format!("unknown tier `{other}` (auto|exact|hnsw)").into()),
-            };
-            if want_hnsw {
-                index.build_hnsw(HnswConfig {
+            match tier.as_str() {
+                "auto" => {
+                    index.auto_tune(seed);
+                }
+                "hnsw" => index.build_hnsw(HnswConfig {
                     seed,
                     ..HnswConfig::default()
-                });
+                }),
+                "exact" => {}
+                other => return Err(format!("unknown tier `{other}` (auto|exact|hnsw)").into()),
             }
             if let Some(spec) = flag("--pq") {
                 let config = parse_pq_spec(&spec, seed)?;
@@ -601,7 +575,7 @@ fn cmd_index(args: &[String], flag: &impl Fn(&str) -> Option<String>) -> CliResu
             eprintln!(
                 "index written to {out}: {} vectors, tier {}{}, {bytes} bytes, {:.2}s",
                 index.len(),
-                if want_hnsw { "hnsw" } else { "exact" },
+                index.tier(),
                 if index.is_quantized() { "+pq" } else { "" },
                 started.elapsed().as_secs_f64()
             );

@@ -1,13 +1,14 @@
 //! File-level workflow: write a corpus + tables to disk the way the CLI
-//! expects, train through `Kgpip::train` from those files, save, reload,
-//! and run on a CSV dataset — the full downstream-user path without
-//! spawning a subprocess.
+//! expects, train through `Kgpip::train` from those files, persist the
+//! artifact as a `KGPS` snapshot, reopen it, check the reopened model
+//! predicts identically on several datasets, and run on a CSV dataset —
+//! the full downstream-user path without spawning a subprocess.
 
-use kgpip::{Kgpip, KgpipConfig};
-use kgpip_benchdata::{training_setup, ScaleConfig};
+use kgpip::{Kgpip, KgpipConfig, TrainedModel};
+use kgpip_benchdata::{benchmark, generate_dataset, training_setup, ScaleConfig};
 use kgpip_codegraph::corpus::{generate_corpus, CorpusConfig, ScriptRecord};
 use kgpip_graphgen::GeneratorConfig;
-use kgpip_hpo::{Flaml, TimeBudget};
+use kgpip_hpo::{Flaml, Optimizer, TimeBudget};
 use kgpip_tabular::{csv, Dataset};
 use std::path::PathBuf;
 
@@ -84,11 +85,26 @@ fn csv_on_disk_roundtrip_feeds_training_and_prediction() {
         }),
     )
     .unwrap();
-    let model_path = scratch_dir("model").join("model.json");
-    #[allow(deprecated)]
-    model.save(&model_path).unwrap();
-    #[allow(deprecated)]
-    let model = Kgpip::load(&model_path).unwrap();
+    let model_path = scratch_dir("model").join("model.kgps");
+    model.artifact().snapshot(&model_path).unwrap();
+    let reopened = TrainedModel::open(&model_path).unwrap();
+    assert_eq!(reopened.catalog_len(), model.artifact().catalog_len());
+
+    // The reload keeps predictions identical — neighbour, skeletons and
+    // score bits — on several datasets.
+    let caps = Flaml::new(0).capabilities();
+    for entry in benchmark().iter().take(5) {
+        let ds = generate_dataset(entry, &scale, entry.id as u64);
+        let (a, na) = model.predict_skeletons(&ds, 3, &caps, 42).unwrap();
+        let (b, nb) = reopened.predict_skeletons(&ds, 3, &caps, 42).unwrap();
+        assert_eq!(na, nb, "{}: neighbour must survive the reload", entry.name);
+        assert_eq!(a.len(), b.len(), "{}", entry.name);
+        for ((s1, g1), (s2, g2)) in a.iter().zip(&b) {
+            assert_eq!(s1, s2, "{}", entry.name);
+            assert_eq!(g1.to_bits(), g2.to_bits(), "{}", entry.name);
+        }
+    }
+    let model = reopened;
 
     // An "unseen" CSV with a target column, as a user would provide.
     let mut csv_text = String::from("f0,f1,label\n");
