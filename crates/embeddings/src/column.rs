@@ -24,7 +24,7 @@ const KIND_OFFSET: usize = 44;
 /// Embeds a single column from its content.
 pub fn column_embedding(column: &Column) -> [f64; EMBED_DIM] {
     let stats = ColumnStats::compute(column);
-    let strings = (0..column.len()).filter_map(|r| column.as_string(r));
+    let strings = (0..column.len()).filter_map(|r| column.as_str(r));
     column_embedding_parts(column.kind(), &stats, strings)
 }
 
@@ -32,17 +32,18 @@ pub fn column_embedding(column: &Column) -> [f64; EMBED_DIM] {
 /// iterator over its present string views. This is the shared core of
 /// [`column_embedding`] and the chunk-streaming sampled variant: the
 /// numeric sketch reads only `stats`, the trigram sketch folds over
-/// `strings` in the order given. Feeding it `ColumnStats::compute` and the
-/// full row-order string sequence reproduces [`column_embedding`] to the
-/// bit; a chunked caller passes streamed stats and a bounded sample of
-/// string views instead.
+/// `strings` in the order given (numeric columns never read them).
+/// Feeding it `ColumnStats::compute` and the full row-order string
+/// sequence reproduces [`column_embedding`] to the bit; a chunked caller
+/// passes streamed stats and a bounded sample of string views instead.
 pub fn column_embedding_parts<I>(
     kind: ColumnKind,
     stats: &ColumnStats,
     strings: I,
 ) -> [f64; EMBED_DIM]
 where
-    I: IntoIterator<Item = String>,
+    I: IntoIterator,
+    I::Item: AsRef<str>,
 {
     let mut v = [0.0f64; EMBED_DIM];
 
@@ -68,8 +69,9 @@ where
     // --- hashed character trigrams over string values ---
     if kind != ColumnKind::Numeric {
         let mut count = 0usize;
+        let mut lowered = String::new();
         for s in strings {
-            let lowered = s.to_lowercase();
+            lowercase_into(s.as_ref(), &mut lowered);
             let bytes = lowered.as_bytes();
             if bytes.len() < 3 {
                 let h = fnv1a(bytes);
@@ -103,6 +105,20 @@ where
     }
     v[KIND_OFFSET + 3] = squash(stats.mean_tokens / 10.0);
     v
+}
+
+/// Writes `s.to_lowercase()` into `out`, reusing its buffer. ASCII —
+/// nearly every cell — lowercases in place; anything else takes
+/// `str::to_lowercase`, whose context-dependent rules (a word-final `Σ`
+/// becomes `ς`) a per-char mapping would not reproduce.
+fn lowercase_into(s: &str, out: &mut String) {
+    out.clear();
+    if s.is_ascii() {
+        out.push_str(s);
+        out.make_ascii_lowercase();
+    } else {
+        out.push_str(&s.to_lowercase());
+    }
 }
 
 fn bump(v: &mut [f64; EMBED_DIM], h: u64) {

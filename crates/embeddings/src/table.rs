@@ -72,11 +72,18 @@ pub fn table_embedding_chunked(frame: &ChunkedFrame, sample_bound: usize, seed: 
     pooled
 }
 
-/// Collects the present string views of the sampled rows, visiting the
+/// Borrows the present string views of the sampled rows, visiting the
 /// ascending sample through the chunks with a single cursor — the same
-/// row order `column_embedding` scans, restricted to the sample.
-fn sampled_strings(chunks: &[Column], sample: &[usize]) -> Vec<String> {
+/// row order `column_embedding` scans, restricted to the sample. Numeric
+/// chunks have no string view, so their columns collect nothing.
+fn sampled_strings<'c>(chunks: &'c [Column], sample: &[usize]) -> Vec<&'c str> {
     let mut out = Vec::new();
+    if chunks
+        .first()
+        .is_none_or(|c| c.kind() == ColumnKind::Numeric)
+    {
+        return out;
+    }
     let mut cursor = sample.iter().peekable();
     let mut base = 0usize;
     for c in chunks {
@@ -85,7 +92,7 @@ fn sampled_strings(chunks: &[Column], sample: &[usize]) -> Vec<String> {
             if r < base || r >= base + len {
                 break;
             }
-            if let Some(s) = c.as_string(r - base) {
+            if let Some(s) = c.as_str(r - base) {
                 out.push(s);
             }
             cursor.next();
@@ -220,6 +227,30 @@ mod tests {
                 reference,
                 "chunk_rows {chunk_rows}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_numeric_cells_embed_identically_on_both_paths() {
+        // Only a directly built column can hold these; the statistics
+        // skip them on both paths instead of panicking or diverging.
+        let f = DataFrame::from_columns(vec![
+            (
+                "x".to_string(),
+                Column::Numeric(vec![Some(1.0), Some(f64::NAN), Some(2.0)]),
+            ),
+            (
+                "y".to_string(),
+                Column::Numeric(vec![Some(f64::INFINITY), None, Some(-3.5)]),
+            ),
+        ])
+        .unwrap();
+        let full = table_embedding(&f);
+        assert!(full.iter().all(|x| x.is_finite()), "{full:?}");
+        assert!(full.iter().any(|x| *x != 0.0));
+        for chunk_rows in [1, 2, 100] {
+            let cf = ChunkedFrame::from_frame(&f, chunk_rows);
+            assert_eq!(table_embedding_chunked(&cf, 1_000, 7), full);
         }
     }
 

@@ -1,10 +1,40 @@
 //! Property-based tests for the embedding substrate.
 
-use kgpip_embeddings::column::{column_embedding, cosine, EMBED_DIM};
+use kgpip_embeddings::column::{column_embedding, column_embedding_parts, cosine, EMBED_DIM};
 use kgpip_embeddings::tsne::{tsne, TsneConfig};
 use kgpip_embeddings::{table_embedding, VectorIndex};
-use kgpip_tabular::{Column, DataFrame};
+use kgpip_tabular::{fnv1a, Column, ColumnKind, ColumnStats, DataFrame};
 use proptest::prelude::*;
+
+/// The hashed-trigram block of a column embedding (`[12, 44)`) as first
+/// written: a fresh `str::to_lowercase` copy of every cell.
+fn trigram_sketch_oracle(strings: &[String]) -> Vec<f64> {
+    let mut v = vec![0.0f64; 32];
+    let mut bump = |h: u64| {
+        v[(h % 32) as usize] += if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+    };
+    let mut count = 0usize;
+    for s in strings {
+        let lowered = s.to_lowercase();
+        let bytes = lowered.as_bytes();
+        if bytes.len() < 3 {
+            bump(fnv1a(bytes));
+            count += 1;
+            continue;
+        }
+        for w in bytes.windows(3) {
+            bump(fnv1a(w));
+            count += 1;
+        }
+    }
+    if count > 0 {
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+        for x in &mut v {
+            *x /= norm;
+        }
+    }
+    v
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -50,6 +80,24 @@ proptest! {
         let e = table_embedding(&frame);
         let norm: f64 = e.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!((norm - 1.0).abs() < 1e-9);
+    }
+
+    /// The trigram sketch, which lowercases ASCII cells into one reused
+    /// buffer, equals the per-cell `to_lowercase` sketch on arbitrary
+    /// Unicode: `İ` and `Ⱥ` grow when lowercased, the Kelvin sign
+    /// shrinks, and a word-final `Σ` lowercases by context.
+    #[test]
+    fn trigram_sketch_matches_to_lowercase(
+        cells in proptest::collection::vec(
+            "[a-zA-Z0-9 İıßΣσςK\u{212a}Ⱥé東\u{3000}-]{0,12}", 0..30
+        ),
+    ) {
+        let stats = ColumnStats::compute(&Column::categorical(cells.iter().map(Some)));
+        let e = column_embedding_parts(ColumnKind::Categorical, &stats, &cells);
+        let oracle = trigram_sketch_oracle(&cells);
+        let got: Vec<u64> = e[12..44].iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = oracle.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(got, want, "{:?}", cells);
     }
 
     /// Exact top-k results are sorted by similarity and unique.

@@ -269,6 +269,40 @@ fn prediction_errors_are_typed_not_fatal() {
     server.shutdown();
 }
 
+/// A request table built directly with non-finite numeric cells (the
+/// readers never produce them, but `ServeRequest.table` is a public
+/// `DataFrame`) gets the same answer served as predicted directly; the
+/// worker neither panics nor returns an error.
+#[test]
+fn non_finite_cells_in_a_request_get_an_answer() {
+    let model = trained_artifact(0);
+    let caps = Flaml::new(0).capabilities();
+    let mut table = table_like(3.0, 20);
+    let mut poisoned: Vec<Option<f64>> = (0..20).map(|i| Some(i as f64)).collect();
+    poisoned[1] = Some(f64::NAN);
+    poisoned[4] = Some(f64::INFINITY);
+    poisoned[7] = Some(f64::NEG_INFINITY);
+    table.push("nan", Column::Numeric(poisoned)).unwrap();
+    let query = model.embed_table(&table);
+    assert!(query.iter().all(|x| x.is_finite()), "embedding {query:?}");
+    let direct = model
+        .predict_table(&table, Task::Binary, 3, &caps, 5)
+        .unwrap();
+    let server = ServeHandle::start(model.share(), ServeConfig::default().with_workers(1));
+    let served = server
+        .predict(ServeRequest {
+            table,
+            task: Task::Binary,
+            k: 3,
+            seed: 5,
+        })
+        .unwrap();
+    assert!(!served.skeletons.is_empty());
+    assert_bit_identical(&served.skeletons, &direct.0, "non-finite request");
+    assert_eq!(served.neighbour, direct.1);
+    server.shutdown();
+}
+
 /// Online dataset registration grows the served catalog under a new
 /// epoch: post-registration queries can retrieve the new dataset, the
 /// cache never replays pre-registration answers for the grown model, and

@@ -22,13 +22,12 @@
 //!   bit-identical to the in-memory stats at any chunk size; quantiles
 //!   come from the sample and are exact when the sample covers all rows.
 
-use crate::column::{Column, ColumnKind};
+use crate::column::{distinct_count, Column, ColumnKind};
 use crate::error::TabularError;
 use crate::frame::DataFrame;
-use crate::stats::ColumnStats;
+use crate::stats::{finite_values, ColumnStats, TokenSum};
 use crate::Result;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A frame stored as per-column row chunks. Invariants: every column has
@@ -416,72 +415,48 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
     for c in chunks {
         missing += c.missing_count();
     }
-    let cardinality = streamed_cardinality(chunks);
+    let cardinality = distinct_count(chunks);
 
-    // Pass 1: count + sum, in row order (the same left fold as
-    // `values.iter().sum()`).
+    // The numeric view in row order, re-walked by each pass: the exact
+    // operand sequence `ColumnStats::compute` folds over.
+    let view = || chunks.iter().flat_map(finite_values);
+
+    // Pass 1: count, min and max; the sum is `values.iter().sum()`'s own
+    // fold, so even an all-`-0.0` column keeps its sign.
     let mut n = 0usize;
-    let mut sum = 0.0f64;
     let mut min = 0.0f64;
     let mut max = 0.0f64;
-    for c in chunks {
-        for i in 0..c.len() {
-            if let Some(x) = c.as_f64(i) {
-                if n == 0 {
-                    min = x;
-                    max = x;
-                } else {
-                    // Strict `<` keeps the first-seen among ties and `>=`
-                    // the last-seen, matching the stable sort compute()
-                    // reads its min/max from.
-                    if x < min {
-                        min = x;
-                    }
-                    if x >= max {
-                        max = x;
-                    }
-                }
-                n += 1;
-                sum += x;
+    for x in view() {
+        if n == 0 {
+            min = x;
+            max = x;
+        } else {
+            // Strict `<` keeps the first-seen among ties and `>=` the
+            // last-seen, matching the stable sort compute() reads its
+            // min/max from.
+            if x < min {
+                min = x;
+            }
+            if x >= max {
+                max = x;
             }
         }
+        n += 1;
     }
 
     let (mean, std, skewness, kurtosis, quantiles) = if n == 0 {
         (0.0, 0.0, 0.0, 0.0, [0.0f64; 5])
     } else {
         let nf = n as f64;
-        let mean = sum / nf;
+        let mean = view().sum::<f64>() / nf;
         // Pass 2: central moments, each its own row-order fold — the
         // exact expression shapes of ColumnStats::compute.
-        let mut var_sum = 0.0f64;
-        for c in chunks {
-            for i in 0..c.len() {
-                if let Some(x) = c.as_f64(i) {
-                    var_sum += (x - mean).powi(2);
-                }
-            }
-        }
-        let var = var_sum / nf;
+        let var = view().map(|x| (x - mean).powi(2)).sum::<f64>() / nf;
         let std = var.sqrt();
         let (skew, kurt) = if std > 1e-12 {
-            let mut m3_sum = 0.0f64;
-            for c in chunks {
-                for i in 0..c.len() {
-                    if let Some(x) = c.as_f64(i) {
-                        m3_sum += ((x - mean) / std).powi(3);
-                    }
-                }
-            }
-            let mut m4_sum = 0.0f64;
-            for c in chunks {
-                for i in 0..c.len() {
-                    if let Some(x) = c.as_f64(i) {
-                        m4_sum += ((x - mean) / std).powi(4);
-                    }
-                }
-            }
-            (m3_sum / nf, m4_sum / nf - 3.0)
+            let m3 = view().map(|x| ((x - mean) / std).powi(3)).sum::<f64>() / nf;
+            let m4 = view().map(|x| ((x - mean) / std).powi(4)).sum::<f64>() / nf;
+            (m3, m4 - 3.0)
         } else {
             (0.0, 0.0)
         };
@@ -496,7 +471,7 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
                 if r < base || r >= base + len {
                     break;
                 }
-                if let Some(x) = c.as_f64(r - base) {
+                if let Some(x) = c.as_f64(r - base).filter(|x| x.is_finite()) {
                     sampled.push(x);
                 }
                 cursor.next();
@@ -516,29 +491,10 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
         (mean, std, skew, kurt, quantiles)
     };
 
-    // String-view token/char sums are exact integer folds (order-free).
-    let mut token_sum = 0usize;
-    let mut char_sum = 0usize;
-    let mut string_count = 0usize;
+    let mut tokens = TokenSum::default();
     for c in chunks {
-        for i in 0..c.len() {
-            if let Some(s) = c.as_string(i) {
-                token_sum += s.split_whitespace().count();
-                char_sum += s.chars().count();
-                string_count += 1;
-            }
-        }
+        tokens.add(c);
     }
-    let mean_tokens = if string_count > 0 && kind == ColumnKind::Text {
-        token_sum as f64 / string_count as f64
-    } else {
-        0.0
-    };
-    let mean_chars = if string_count > 0 {
-        char_sum as f64 / string_count as f64
-    } else {
-        0.0
-    };
 
     ColumnStats {
         kind,
@@ -552,51 +508,7 @@ fn column_stats_streamed(chunks: &[Column], rows: usize, sample: &[usize]) -> Co
         skewness,
         kurtosis,
         quantiles,
-        mean_tokens,
-        mean_chars,
-    }
-}
-
-/// Exact distinct-count across chunks, matching `Column::cardinality` on
-/// the concatenation. The hash sets are used for membership only — the
-/// count is order-free.
-fn streamed_cardinality(chunks: &[Column]) -> usize {
-    let kind = chunks.first().map(|c| c.kind());
-    match kind {
-        None => 0,
-        Some(ColumnKind::Numeric) => {
-            let mut seen: HashSet<u64> = HashSet::new();
-            for c in chunks {
-                if let Column::Numeric(v) = c {
-                    for x in v.iter().flatten() {
-                        seen.insert(x.to_bits());
-                    }
-                }
-            }
-            seen.len()
-        }
-        Some(ColumnKind::Categorical) => {
-            let mut seen: HashSet<u32> = HashSet::new();
-            for c in chunks {
-                if let Column::Categorical { codes, .. } = c {
-                    for code in codes.iter().flatten() {
-                        seen.insert(*code);
-                    }
-                }
-            }
-            seen.len()
-        }
-        Some(ColumnKind::Text) => {
-            let mut seen: HashSet<&str> = HashSet::new();
-            for c in chunks {
-                if let Column::Text(v) = c {
-                    for s in v.iter().flatten() {
-                        seen.insert(s.as_str());
-                    }
-                }
-            }
-            seen.len()
-        }
+        mean_tokens: tokens.mean(),
     }
 }
 
@@ -664,6 +576,33 @@ mod tests {
                 let streamed = cf.column_stats_sampled(c, &all);
                 assert_eq!(streamed, exact, "column {c} at chunk_rows {chunk_rows}");
             }
+        }
+    }
+
+    #[test]
+    fn streamed_stats_skip_non_finite_values_like_compute() {
+        let column = Column::Numeric(vec![
+            Some(2.0),
+            Some(f64::NAN),
+            None,
+            Some(f64::INFINITY),
+            Some(-1.0),
+            Some(f64::NEG_INFINITY),
+            Some(0.5),
+        ]);
+        let exact = ColumnStats::compute(&column);
+        assert_eq!(exact.min, -1.0);
+        assert_eq!(exact.max, 2.0);
+        assert_eq!(exact.mean, 0.5);
+        assert_eq!(
+            exact.missing, 1,
+            "non-finite cells are present, not missing"
+        );
+        let f = DataFrame::from_columns(vec![("x".to_string(), column)]).unwrap();
+        let all: Vec<usize> = (0..f.num_rows()).collect();
+        for chunk_rows in [1, 2, 3, 100] {
+            let cf = ChunkedFrame::from_frame(&f, chunk_rows);
+            assert_eq!(cf.column_stats_sampled(0, &all), exact);
         }
     }
 

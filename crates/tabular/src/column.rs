@@ -6,7 +6,7 @@
 //! dictionary so that cardinality and value lookups are O(1) and cloning a
 //! column does not duplicate string payloads per row.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The kind of data a [`Column`] holds.
@@ -78,10 +78,14 @@ impl Column {
             .map(|v| {
                 v.map(|s| {
                     let s = s.as_ref();
-                    *lookup.entry(s.to_string()).or_insert_with(|| {
-                        dictionary.push(s.to_string());
-                        (dictionary.len() - 1) as u32
-                    })
+                    // Probe before inserting: only a new label allocates.
+                    if let Some(&code) = lookup.get(s) {
+                        return code;
+                    }
+                    let code = dictionary.len() as u32;
+                    lookup.insert(s.to_string(), code);
+                    dictionary.push(s.to_string());
+                    code
                 })
             })
             .collect();
@@ -143,6 +147,21 @@ impl Column {
         }
     }
 
+    /// Borrowed string view of row `i` for categorical and text columns;
+    /// `None` for numeric columns and missing entries. Unlike
+    /// [`Column::as_string`] it never allocates.
+    pub fn as_str(&self, i: usize) -> Option<&str> {
+        match self {
+            Column::Numeric(_) => None,
+            Column::Categorical { codes, dictionary } => codes
+                .get(i)
+                .copied()
+                .flatten()
+                .map(|c| dictionary[c as usize].as_str()),
+            Column::Text(v) => v.get(i).and_then(|s| s.as_deref()),
+        }
+    }
+
     /// String view of row `i`; numeric values render with `{}`.
     pub fn as_string(&self, i: usize) -> Option<String> {
         match self {
@@ -156,30 +175,11 @@ impl Column {
         }
     }
 
-    /// Distinct non-missing value count. For numeric columns this scans the
-    /// data; for categorical it is the dictionary size restricted to codes in
-    /// use; for text it counts distinct strings.
+    /// Distinct non-missing value count. For numeric columns this counts
+    /// distinct bit patterns; for categorical it is the dictionary size
+    /// restricted to codes in use; for text it counts distinct strings.
     pub fn cardinality(&self) -> usize {
-        match self {
-            Column::Numeric(v) => {
-                let mut seen: Vec<u64> = v.iter().filter_map(|x| x.map(f64::to_bits)).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-            Column::Categorical { codes, .. } => {
-                let mut seen: Vec<u32> = codes.iter().filter_map(|c| *c).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-            Column::Text(v) => {
-                let mut seen: Vec<&str> = v.iter().filter_map(|s| s.as_deref()).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                seen.len()
-            }
-        }
+        distinct_count(std::slice::from_ref(self))
     }
 
     /// The dictionary of a categorical column, if any.
@@ -206,6 +206,55 @@ impl Column {
     /// categorical codes).
     pub fn numeric_values(&self) -> Vec<f64> {
         (0..self.len()).filter_map(|i| self.as_f64(i)).collect()
+    }
+}
+
+/// [`Column::cardinality`] of the concatenation of `chunks`, which must
+/// share one kind (and, if categorical, one dictionary) — the invariant of
+/// every chunked column. Numbers and codes are sorted and deduplicated;
+/// text is hashed, since long cells that share prefixes make a sort pay
+/// for its comparisons.
+pub(crate) fn distinct_count(chunks: &[Column]) -> usize {
+    fn sorted_distinct<T: Ord>(mut seen: Vec<T>) -> usize {
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len()
+    }
+    match chunks.first() {
+        None => 0,
+        Some(Column::Numeric(_)) => sorted_distinct(
+            chunks
+                .iter()
+                .filter_map(|c| match c {
+                    Column::Numeric(v) => Some(v),
+                    _ => None,
+                })
+                .flatten()
+                .filter_map(|x| x.map(f64::to_bits))
+                .collect(),
+        ),
+        Some(Column::Categorical { .. }) => sorted_distinct(
+            chunks
+                .iter()
+                .filter_map(|c| match c {
+                    Column::Categorical { codes, .. } => Some(codes),
+                    _ => None,
+                })
+                .flatten()
+                .filter_map(|&c| c)
+                .collect(),
+        ),
+        Some(Column::Text(_)) => chunks
+            .iter()
+            .filter_map(|c| match c {
+                Column::Text(v) => Some(v),
+                _ => None,
+            })
+            .flatten()
+            .flatten()
+            .map(String::as_str)
+            .collect::<HashSet<_>>()
+            .len(),
     }
 }
 

@@ -41,13 +41,19 @@ pub(crate) struct RecordSpan {
 /// structural errors the field parser could hit (a quote opening inside a
 /// non-empty unquoted field, an unterminated quoted field) are detected
 /// here, at the same source line the legacy single-pass machine reported,
-/// so [`parse_span`] on a returned span cannot fail. This is the piece the
-/// chunked reader parallelizes over: spans are cheap to compute
+/// so [`visit_fields`] on a returned span cannot fail. This is the piece
+/// the chunked reader parallelizes over: spans are cheap to compute
 /// sequentially and parse independently.
+///
+/// The scan walks bytes, not chars, jumping from one structural byte to
+/// the next: every structural character is ASCII, and no byte of a
+/// multi-byte UTF-8 sequence is ASCII, so every boundary it finds is a
+/// char boundary.
 pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
+    let bytes = input.as_bytes();
     let mut spans = Vec::new();
     let mut in_quotes = false;
-    // Any content char accumulated in the current field (quoted or not).
+    // Any content byte accumulated in the current field (quoted or not).
     let mut field_has_content = false;
     let mut field_was_quoted = false;
     // A `,` has finished at least one field in the current record.
@@ -55,28 +61,34 @@ pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
     let mut record_start = 0usize;
     let mut record_line = 1usize;
     let mut line = 1usize;
-    let mut chars = input.char_indices().peekable();
-    while let Some((i, ch)) = chars.next() {
+    let mut i = 0usize;
+    while i < bytes.len() {
+        // Jump to the next byte that can change the state; everything
+        // skipped is field content.
+        let j = if in_quotes {
+            find_any(bytes, i, [b'"', b'\n'])
+        } else {
+            find_any(bytes, i, [b',', b'"', b'\r', b'\n'])
+        };
+        field_has_content |= j > i;
+        let Some(&b) = bytes.get(j) else {
+            break;
+        };
+        i = j + 1;
         if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek().map(|&(_, c)| c) == Some('"') {
-                        chars.next();
-                        field_has_content = true;
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    field_has_content = true;
-                    line += 1;
-                }
-                _ => field_has_content = true,
+            if b == b'\n' {
+                field_has_content = true;
+                line += 1;
+            } else if bytes.get(i) == Some(&b'"') {
+                i += 1;
+                field_has_content = true;
+            } else {
+                in_quotes = false;
             }
             continue;
         }
-        match ch {
-            '"' => {
+        match b {
+            b'"' => {
                 if field_has_content {
                     return Err(TabularError::Csv {
                         line,
@@ -86,50 +98,30 @@ pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
                 in_quotes = true;
                 field_was_quoted = true;
             }
-            ',' => {
+            b',' => {
                 record_has_fields = true;
                 field_has_content = false;
                 field_was_quoted = false;
             }
-            '\r' => {
-                // Consumed as part of \r\n (the following \n ends the
-                // record and excludes this byte); a bare \r is a newline.
-                if chars.peek().map(|&(_, c)| c) == Some('\n') {
-                    continue;
+            _ => {
+                let end = i - 1;
+                // `\r\n` is one terminator: the `\r` ends the record
+                // content and the `\n` is consumed with it.
+                if b == b'\r' && bytes.get(i) == Some(&b'\n') {
+                    i += 1;
                 }
-                spans.push(RecordSpan {
-                    start: record_start,
-                    end: i,
-                    line: record_line,
-                });
-                record_start = i + 1;
-                line += 1;
-                record_line = line;
-                field_has_content = false;
-                field_was_quoted = false;
-                record_has_fields = false;
-            }
-            '\n' => {
-                // A directly preceding \r was skipped above and is not
-                // part of the record content.
-                let end = if i > record_start && input.as_bytes()[i - 1] == b'\r' {
-                    i - 1
-                } else {
-                    i
-                };
                 spans.push(RecordSpan {
                     start: record_start,
                     end,
                     line: record_line,
                 });
-                record_start = i + 1;
+                record_start = i;
                 line += 1;
                 record_line = line;
                 field_has_content = false;
                 field_was_quoted = false;
                 record_has_fields = false;
             }
-            _ => field_has_content = true,
         }
     }
     if in_quotes {
@@ -148,130 +140,175 @@ pub(crate) fn scan_records(input: &str) -> Result<Vec<RecordSpan>> {
     Ok(spans)
 }
 
-/// Parses one record span into fields. Unquoted fields (and quoted fields
-/// without escaped quotes) borrow directly from `input`; only fields whose
-/// content is non-contiguous in the source (doubled quotes, text resuming
-/// after a closing quote) allocate. Empty-unquoted is `None` (missing),
-/// quoted-empty is `Some("")` — same semantics as the legacy machine.
-pub(crate) fn parse_span(input: &str, span: RecordSpan) -> Result<Vec<Option<Cow<'_, str>>>> {
-    let content = &input[span.start..span.end];
-    let mut record: Vec<Option<Cow<'_, str>>> = Vec::new();
-    let mut line = span.line;
-    // Field representation: a contiguous byte range of `content` until the
-    // content goes non-contiguous, then an owned spill buffer.
-    let mut seg: Option<(usize, usize)> = None;
-    let mut owned: Option<String> = None;
-    let mut field_was_quoted = false;
-    let mut in_quotes = false;
-    let mut chars = content.char_indices().peekable();
+/// Index of the first byte at or after `from` that is one of `set`, or
+/// `bytes.len()`. Eight bytes per step (SWAR): a byte of the word equals
+/// a target exactly where `word ^ target` has a zero byte, and the lowest
+/// flagged byte of the classic has-zero test is always a true zero.
+fn find_any<const N: usize>(bytes: &[u8], from: usize, set: [u8; N]) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut at = from;
+    for chunk in bytes[from..].chunks_exact(8) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let word = u64::from_le_bytes(word);
+        let mut hits = 0u64;
+        for target in set {
+            let x = word ^ (LO * u64::from(target));
+            hits |= x.wrapping_sub(LO) & !x & HI;
+        }
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    bytes[at..]
+        .iter()
+        .position(|b| set.contains(b))
+        .map_or(bytes.len(), |k| at + k)
+}
 
-    fn push_char(
-        content: &str,
-        seg: &mut Option<(usize, usize)>,
-        owned: &mut Option<String>,
-        i: usize,
-        ch: char,
-    ) {
-        if let Some(buf) = owned {
-            buf.push(ch);
+/// One field under assembly: a contiguous byte range of the record until
+/// the content goes non-contiguous (doubled quotes, text resuming after a
+/// closing quote), then an owned spill buffer.
+#[derive(Default)]
+struct FieldAcc {
+    seg: Option<(usize, usize)>,
+    owned: Option<String>,
+    quoted: bool,
+}
+
+impl FieldAcc {
+    fn is_empty(&self) -> bool {
+        self.seg.is_none() && self.owned.is_none()
+    }
+
+    /// Appends `content[start..end]`; an empty run is a no-op.
+    fn push(&mut self, content: &str, start: usize, end: usize) {
+        if start == end {
             return;
         }
-        match seg {
-            None => *seg = Some((i, i + ch.len_utf8())),
-            Some((start, end)) => {
-                if *end == i {
-                    *end = i + ch.len_utf8();
-                } else {
-                    let mut buf = content[*start..*end].to_string();
-                    buf.push(ch);
-                    *owned = Some(buf);
-                }
+        if let Some(buf) = &mut self.owned {
+            buf.push_str(&content[start..end]);
+            return;
+        }
+        match &mut self.seg {
+            None => self.seg = Some((start, end)),
+            Some((_, seg_end)) if *seg_end == start => *seg_end = end,
+            Some((seg_start, seg_end)) => {
+                let mut buf = String::with_capacity(*seg_end - *seg_start + end - start);
+                buf.push_str(&content[*seg_start..*seg_end]);
+                buf.push_str(&content[start..end]);
+                self.owned = Some(buf);
             }
         }
     }
 
-    fn finish_field<'a>(
-        content: &'a str,
-        seg: &mut Option<(usize, usize)>,
-        owned: &mut Option<String>,
-        quoted: &mut bool,
-        record: &mut Vec<Option<Cow<'a, str>>>,
-    ) {
-        let value = match (owned.take(), seg.take()) {
+    fn finish(self, content: &str) -> Option<Cow<'_, str>> {
+        match (self.owned, self.seg) {
             (Some(buf), _) => Some(Cow::Owned(buf)),
             (None, Some((start, end))) => Some(Cow::Borrowed(&content[start..end])),
-            (None, None) => {
-                if *quoted {
-                    Some(Cow::Borrowed(""))
-                } else {
-                    None
-                }
-            }
-        };
-        record.push(value);
-        *quoted = false;
+            (None, None) => self.quoted.then_some(Cow::Borrowed("")),
+        }
     }
+}
 
-    while let Some((i, ch)) = chars.next() {
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek().map(|&(_, c)| c) == Some('"') {
-                        // Escaped quote: the first quote of the pair is at
-                        // `i`, so a contiguous segment can still absorb it;
-                        // the skipped second quote forces a spill only when
-                        // more content follows.
-                        push_char(content, &mut seg, &mut owned, i, '"');
-                        chars.next();
+/// Visits the fields of one record span in order, handing `sink` each
+/// field's index and value, and returns the field count. Unquoted fields
+/// (and quoted fields without escaped quotes) borrow directly from
+/// `input`; only fields whose content is non-contiguous in the source
+/// allocate. Empty-unquoted is `None` (missing), quoted-empty is
+/// `Some("")` — same semantics as the legacy machine. Like the scanner it
+/// walks bytes, jumping from one structural byte to the next.
+pub(crate) fn visit_fields<'a>(
+    input: &'a str,
+    span: RecordSpan,
+    mut sink: impl FnMut(usize, Option<Cow<'a, str>>),
+) -> Result<usize> {
+    let content = &input[span.start..span.end];
+    let bytes = content.as_bytes();
+    // Spans from `scan_records` never fail below; the errors stay typed
+    // for defense in depth.
+    let error = |message: &str| TabularError::Csv {
+        line: span.line,
+        message: message.into(),
+    };
+    let mut count = 0usize;
+    let mut i = 0usize;
+    loop {
+        let mut field = FieldAcc::default();
+        loop {
+            if bytes.get(i) == Some(&b'"') {
+                if !field.is_empty() {
+                    return Err(error("quote inside unquoted field"));
+                }
+                field.quoted = true;
+                i += 1;
+                loop {
+                    let q = find_any(bytes, i, [b'"']);
+                    if q == bytes.len() {
+                        return Err(error("unterminated quoted field"));
+                    }
+                    if bytes.get(q + 1) == Some(&b'"') {
+                        // Escaped quote: keep the first of the pair.
+                        field.push(content, i, q + 1);
+                        i = q + 2;
                     } else {
-                        in_quotes = false;
+                        field.push(content, i, q);
+                        i = q + 1;
+                        break;
                     }
                 }
-                '\n' => {
-                    push_char(content, &mut seg, &mut owned, i, ch);
-                    line += 1;
-                }
-                _ => push_char(content, &mut seg, &mut owned, i, ch),
             }
-            continue;
-        }
-        match ch {
-            '"' => {
-                if seg.is_some() || owned.is_some() {
-                    return Err(TabularError::Csv {
-                        line,
-                        message: "quote inside unquoted field".into(),
-                    });
-                }
-                in_quotes = true;
-                field_was_quoted = true;
+            let run_end = find_any(bytes, i, [b',', b'"']);
+            field.push(content, i, run_end);
+            i = run_end;
+            if bytes.get(i) != Some(&b'"') {
+                break;
             }
-            ',' => finish_field(
-                content,
-                &mut seg,
-                &mut owned,
-                &mut field_was_quoted,
-                &mut record,
-            ),
-            _ => push_char(content, &mut seg, &mut owned, i, ch),
         }
+        sink(count, field.finish(content));
+        count += 1;
+        if i >= bytes.len() {
+            return Ok(count);
+        }
+        i += 1; // the `,`
     }
-    if in_quotes {
-        // Unreachable for spans produced by scan_records (records only end
-        // outside quotes), kept as a typed error for defense in depth.
-        return Err(TabularError::Csv {
-            line,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    finish_field(
-        content,
-        &mut seg,
-        &mut owned,
-        &mut field_was_quoted,
-        &mut record,
-    );
+}
+
+/// Parses one record span into its fields; see [`visit_fields`].
+pub(crate) fn parse_span(input: &str, span: RecordSpan) -> Result<Vec<Option<Cow<'_, str>>>> {
+    let mut record = Vec::new();
+    visit_fields(input, span, |_, field| record.push(field))?;
     Ok(record)
+}
+
+/// Column-major cells: `cells[c][r]` is field `c` of record `r`.
+pub(crate) type Cells<'a> = Vec<Vec<Option<Cow<'a, str>>>>;
+
+/// Parses record spans straight into `ncols` columns, ragged-checking
+/// each record. `base` is the index of the first span among all data
+/// records, so errors report the line the whole-document reader would.
+pub(crate) fn parse_columns<'a>(
+    input: &'a str,
+    spans: &[RecordSpan],
+    base: usize,
+    ncols: usize,
+) -> Result<Cells<'a>> {
+    let mut columns: Cells<'a> = (0..ncols)
+        .map(|_| Vec::with_capacity(spans.len()))
+        .collect();
+    for (i, span) in spans.iter().enumerate() {
+        let found = visit_fields(input, *span, |c, field| {
+            if let Some(column) = columns.get_mut(c) {
+                column.push(field);
+            }
+        })?;
+        if found != ncols {
+            return Err(ragged_row_error(base + i, ncols, found));
+        }
+    }
+    Ok(columns)
 }
 
 /// Derives header names from the parsed header record: missing cells get
@@ -293,64 +330,54 @@ pub(crate) fn ragged_row_error(index: usize, expected: usize, found: usize) -> T
     }
 }
 
-/// A fully parsed document with borrowed cells: the zero-copy core shared
-/// by [`read_csv_str`], [`read_frame`] and the chunked reader.
-struct ParsedCsv<'a> {
-    header: Vec<String>,
-    rows: Vec<Vec<Option<Cow<'a, str>>>>,
+/// Splits a document into its header names and data-record spans.
+pub(crate) fn scan_document(input: &str) -> Result<(Vec<String>, Vec<RecordSpan>)> {
+    let mut spans = scan_records(input)?;
+    if spans.is_empty() {
+        return Err(TabularError::Empty("csv document"));
+    }
+    let header = header_names(parse_span(input, spans.remove(0))?);
+    Ok((header, spans))
 }
 
-fn parse_csv(input: &str) -> Result<ParsedCsv<'_>> {
-    let spans = scan_records(input)?;
-    let mut iter = spans.into_iter();
-    let header_span = iter.next().ok_or(TabularError::Empty("csv document"))?;
-    let header = header_names(parse_span(input, header_span)?);
-    let mut rows = Vec::new();
-    for (i, span) in iter.enumerate() {
+/// Parses a CSV document with a header row. Supports quoted fields with
+/// embedded commas, newlines, and doubled quotes; `\n`, `\r\n` and bare
+/// `\r` line endings are accepted.
+pub fn read_csv_str(input: &str) -> Result<RawCsv> {
+    let (header, spans) = scan_document(input)?;
+    let mut cells = Vec::with_capacity(spans.len());
+    for (i, span) in spans.into_iter().enumerate() {
         let row = parse_span(input, span)?;
         if row.len() != header.len() {
             return Err(ragged_row_error(i, header.len(), row.len()));
         }
-        rows.push(row);
+        cells.push(row.into_iter().map(|c| c.map(Cow::into_owned)).collect());
     }
-    Ok(ParsedCsv { header, rows })
+    Ok(RawCsv { header, cells })
 }
 
-/// Parses a CSV document with a header row. Supports quoted fields with
-/// embedded commas, newlines, and doubled quotes; both `\n` and `\r\n` line
-/// endings are accepted.
-pub fn read_csv_str(input: &str) -> Result<RawCsv> {
-    let parsed = parse_csv(input)?;
-    let cells = parsed
-        .rows
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.map(Cow::into_owned)).collect())
-        .collect();
-    Ok(RawCsv {
-        header: parsed.header,
-        cells,
-    })
-}
-
-/// Parses a CSV document and infers a typed [`DataFrame`] from it. Cells
-/// stay borrowed from `input` until typed decode — no per-cell `String` is
-/// allocated for unquoted fields.
+/// Parses a CSV document and infers a typed [`DataFrame`] from it. Fields
+/// are collected column by column and stay borrowed from `input` until
+/// typed decode — no per-cell `String` is allocated for unquoted fields.
 pub fn read_frame(input: &str) -> Result<DataFrame> {
-    let parsed = parse_csv(input)?;
-    let ncols = parsed.header.len();
+    let (header, spans) = scan_document(input)?;
+    let columns = parse_columns(input, &spans, 0, header.len())?;
     let mut frame = DataFrame::new();
-    for c in 0..ncols {
-        let values: Vec<Option<&str>> = parsed.rows.iter().map(|row| row[c].as_deref()).collect();
+    for (c, (name, cells)) in header.into_iter().zip(columns).enumerate() {
+        let values: Vec<Option<&str>> = cells.iter().map(|cell| cell.as_deref()).collect();
         let column = infer_column(&values);
-        // Duplicate headers get positional suffixes rather than failing;
-        // keep extending until unique (a file may already contain `a.1`).
-        let mut name = parsed.header[c].clone();
-        while frame.names().contains(&name) {
-            name = format!("{name}.{c}");
-        }
-        frame.push(name, column)?;
+        frame.push(unique_name(frame.names(), name, c), column)?;
     }
     Ok(frame)
+}
+
+/// Duplicate headers get positional suffixes rather than failing; keep
+/// extending until unique (a file may already contain `a.1`).
+pub(crate) fn unique_name(taken: &[String], mut name: String, c: usize) -> String {
+    while taken.contains(&name) {
+        name = format!("{name}.{c}");
+    }
+    name
 }
 
 /// Serializes a frame to CSV with a header row. Missing cells render empty;

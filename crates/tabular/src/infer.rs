@@ -6,8 +6,10 @@
 //! automatically inferring accurate data types of columns". This module
 //! implements both inferences over raw string cells / typed columns.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnKind};
 use crate::dataset::Task;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Fraction of distinct values below which a string column is treated as
 /// categorical rather than free text.
@@ -18,65 +20,177 @@ const CATEGORICAL_MAX_DISTINCT: usize = 128;
 /// its cardinality is low.
 const TEXT_MEAN_TOKENS: f64 = 4.0;
 
+/// The kind a column that is not numeric takes, from three counts: its
+/// present (non-missing) cells, their distinct values, and their summed
+/// whitespace-token counts. Both CSV readers decide through this one rule:
+/// the column is text when it "reads like prose" (mean token count above
+/// [`TEXT_MEAN_TOKENS`]) or has high cardinality; otherwise categorical.
+/// `present` must be non-zero.
+pub(crate) fn string_kind(present: usize, distinct: usize, token_sum: usize) -> ColumnKind {
+    let distinct_ratio = distinct as f64 / present as f64;
+    let mean_tokens = token_sum as f64 / present as f64;
+    if mean_tokens > TEXT_MEAN_TOKENS
+        || (distinct > CATEGORICAL_MAX_DISTINCT && distinct_ratio > CATEGORICAL_DISTINCT_RATIO)
+    {
+        ColumnKind::Text
+    } else {
+        ColumnKind::Categorical
+    }
+}
+
 /// Infers a typed [`Column`] from raw string cells (`None` = missing).
 ///
 /// Heuristics, mirroring the behaviour of pandas-style readers plus KGpip's
 /// categorical/text split:
-/// 1. if every non-missing cell parses as a number → numeric;
-/// 2. else if the column "reads like prose" (mean whitespace-token count
-///    > 4) or has high cardinality → text;
-/// 3. else → categorical.
+/// 1. if every non-missing cell parses as a number or is a missing marker,
+///    and at least one is a number (or every cell is missing) → numeric;
+/// 2. else [`string_kind`] splits text from categorical.
+///
+/// Each cell is parsed once: the numeric check decodes as it goes and
+/// stops at the first cell that is neither a number nor a marker. A
+/// non-numeric column is dictionary-encoded in one hashing pass, which
+/// yields both the counts the classifier needs and, for a categorical
+/// column, the column itself.
 pub fn infer_column(values: &[Option<&str>]) -> Column {
-    let present: Vec<&str> = values.iter().filter_map(|v| *v).collect();
-    if present.is_empty() {
-        // All-missing: default to numeric, the cheapest to impute.
-        return Column::numeric(values.iter().map(|_| None));
+    if let Some(decoded) = decode_numeric(values.iter().copied()) {
+        if decoded.is_numeric() {
+            return Column::Numeric(decoded.values);
+        }
     }
-    // A column is numeric when every non-missing cell is either a parseable
-    // number or a recognized missing marker, and at least one real number
-    // exists (markers parse to missing, not to a value).
-    let all_numeric = present
-        .iter()
-        .all(|s| parse_number(s).is_some() || is_missing_marker(s))
-        && present.iter().any(|s| parse_number(s).is_some());
-    if all_numeric {
-        return Column::numeric(values.iter().map(|v| v.and_then(parse_number)));
-    }
-    let mut distinct: Vec<&str> = present.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let distinct_ratio = distinct.len() as f64 / present.len() as f64;
-    let mean_tokens = present
-        .iter()
-        .map(|s| s.split_whitespace().count())
-        .sum::<usize>() as f64
-        / present.len() as f64;
-
-    let is_text = mean_tokens > TEXT_MEAN_TOKENS
-        || (distinct.len() > CATEGORICAL_MAX_DISTINCT
-            && distinct_ratio > CATEGORICAL_DISTINCT_RATIO);
-    if is_text {
-        Column::text(values.iter().map(|v| v.map(str::to_string)))
-    } else {
-        Column::categorical(values.iter().copied())
+    let encoded = encode(values.iter().copied());
+    match string_kind(encoded.present, encoded.first_rows.len(), encoded.token_sum) {
+        ColumnKind::Text => Column::text(values.iter().map(|v| v.map(str::to_string))),
+        _ => Column::Categorical {
+            dictionary: Arc::new(
+                encoded
+                    .first_rows
+                    .iter()
+                    .map(|&r| values[r].unwrap_or_default().to_string())
+                    .collect(),
+            ),
+            codes: encoded.codes,
+        },
     }
 }
 
-/// True for cells that conventionally denote a missing value.
+/// The numeric decode of a run of cells whose every present cell is a
+/// number or a missing marker.
+pub(crate) struct NumericDecode {
+    /// Per-row values; markers and missing cells are `None`.
+    pub values: Vec<Option<f64>>,
+    /// Present (non-missing) cells.
+    pub present: usize,
+    /// Whether at least one present cell is a number.
+    pub any_real: bool,
+}
+
+impl NumericDecode {
+    /// The numeric rule once every cell of a column is decoded: at least
+    /// one number, or nothing present at all (numeric is the cheapest kind
+    /// to impute).
+    pub fn is_numeric(&self) -> bool {
+        self.any_real || self.present == 0
+    }
+}
+
+/// Decodes cells as numbers, one parse each; `None` as soon as a present
+/// cell is neither a number nor a missing marker.
+pub(crate) fn decode_numeric<'s>(
+    cells: impl ExactSizeIterator<Item = Option<&'s str>>,
+) -> Option<NumericDecode> {
+    let mut decoded = NumericDecode {
+        values: Vec::with_capacity(cells.len()),
+        present: 0,
+        any_real: false,
+    };
+    for cell in cells {
+        let x = match cell {
+            None => None,
+            Some(s) => {
+                decoded.present += 1;
+                let x = numeric_cell(s)?;
+                decoded.any_real |= x.is_some();
+                x
+            }
+        };
+        decoded.values.push(x);
+    }
+    Some(decoded)
+}
+
+/// First-appearance dictionary encoding of string cells: the single pass
+/// both readers classify a non-numeric column from.
+pub(crate) struct Encoding {
+    /// Per-row code into the distinct values; `None` = missing.
+    pub codes: Vec<Option<u32>>,
+    /// Row of each distinct value's first appearance, in code order.
+    pub first_rows: Vec<usize>,
+    /// Present (non-missing) cells.
+    pub present: usize,
+    /// Whitespace tokens summed over present cells (counted once per
+    /// distinct value, times its multiplicity).
+    pub token_sum: usize,
+}
+
+pub(crate) fn encode<'s>(cells: impl Iterator<Item = Option<&'s str>>) -> Encoding {
+    let mut lookup: HashMap<&str, u32> = HashMap::new();
+    let mut distinct: Vec<(&str, usize)> = Vec::new();
+    let mut first_rows = Vec::new();
+    let codes = cells
+        .enumerate()
+        .map(|(r, cell)| {
+            cell.map(|s| {
+                let code = *lookup.entry(s).or_insert_with(|| {
+                    first_rows.push(r);
+                    distinct.push((s, 0));
+                    (distinct.len() - 1) as u32
+                });
+                distinct[code as usize].1 += 1;
+                code
+            })
+        })
+        .collect();
+    Encoding {
+        codes,
+        first_rows,
+        present: distinct.iter().map(|&(_, n)| n).sum(),
+        token_sum: distinct
+            .iter()
+            .map(|&(s, n)| s.split_whitespace().count() * n)
+            .sum(),
+    }
+}
+
+/// One parse of a present cell on the numeric lattice: `Some(Some(x))`
+/// for a finite number, `Some(None)` for a missing marker, `None` for
+/// anything else (the cell makes its column non-numeric).
+pub(crate) fn numeric_cell(s: &str) -> Option<Option<f64>> {
+    let t = s.trim();
+    match t.parse::<f64>() {
+        Ok(x) if x.is_finite() => Some(Some(x)),
+        _ => is_trimmed_marker(t).then_some(None),
+    }
+}
+
+/// True for cells that conventionally denote a missing value: empty or
+/// whitespace, `NA`, `N/A`, `null`, `nan` (any ASCII case) or `?`.
 pub fn is_missing_marker(s: &str) -> bool {
-    matches!(
-        s.trim().to_ascii_lowercase().as_str(),
-        "" | "na" | "n/a" | "null" | "nan" | "?"
-    )
+    is_trimmed_marker(s.trim())
 }
 
-/// Parses a cell as a number, accepting surrounding whitespace and treating
-/// common missing markers (`NA`, `N/A`, `null`, `nan`, `?`) as missing.
+fn is_trimmed_marker(t: &str) -> bool {
+    t.is_empty()
+        || t == "?"
+        || ["na", "n/a", "null", "nan"]
+            .iter()
+            .any(|m| t.eq_ignore_ascii_case(m))
+}
+
+/// Parses a cell as a finite number, accepting surrounding whitespace.
+/// Missing markers (`NA`, `N/A`, `null`, `nan`, `?`) come out as `None`
+/// like any other non-number: none of them parses to a finite `f64`.
 pub fn parse_number(s: &str) -> Option<f64> {
-    if is_missing_marker(s) {
-        return None;
-    }
-    s.trim().parse::<f64>().ok().filter(|x| x.is_finite())
+    numeric_cell(s).flatten()
 }
 
 /// Maximum distinct target values for a numeric column to still be treated
@@ -119,7 +233,6 @@ pub fn infer_task(target: &Column) -> Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnKind;
 
     #[test]
     fn numeric_inference_with_missing_markers() {

@@ -8,6 +8,7 @@
 //!   the number of numerical attributes or skewness).
 
 use crate::column::{Column, ColumnKind};
+use std::cmp::Ordering;
 
 /// 64-bit FNV-1a hash — the workspace's canonical cheap string hash
 /// (feature hashing, n-gram buckets, deterministic synthetic seeds).
@@ -47,8 +48,56 @@ pub struct ColumnStats {
     pub quantiles: [f64; 5],
     /// Mean whitespace-token count for text columns (0 otherwise).
     pub mean_tokens: f64,
-    /// Mean character length of the string view.
-    pub mean_chars: f64,
+}
+
+/// The numeric view the statistics read, in row order: the values of a
+/// numeric column or the dictionary codes of a categorical one, skipping
+/// missing entries. Non-finite values are skipped too: the readers and
+/// [`Column::numeric`] never store them, but a directly built
+/// `Column::Numeric` can, and one NaN must not poison (or panic) the
+/// moments and quantiles. Text columns have no numeric view.
+pub(crate) fn finite_values(column: &Column) -> impl Iterator<Item = f64> + '_ {
+    let (values, codes): (&[Option<f64>], &[Option<u32>]) = match column {
+        Column::Numeric(v) => (v, &[]),
+        Column::Categorical { codes, .. } => (&[], codes),
+        Column::Text(_) => (&[], &[]),
+    };
+    values
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|x| x.is_finite())
+        .chain(codes.iter().flatten().map(|&c| f64::from(c)))
+}
+
+/// Whitespace-token totals of text cells, folded over one column or
+/// several chunks of it. Only text columns contribute: `mean_tokens` is
+/// zero for every other kind, so their cells are never visited.
+#[derive(Default)]
+pub(crate) struct TokenSum {
+    tokens: usize,
+    cells: usize,
+}
+
+impl TokenSum {
+    /// Adds the present cells of `column` when it is a text column.
+    pub(crate) fn add(&mut self, column: &Column) {
+        if let Column::Text(values) = column {
+            for s in values.iter().flatten() {
+                self.tokens += s.split_whitespace().count();
+                self.cells += 1;
+            }
+        }
+    }
+
+    /// Mean tokens per present text cell (0 when there are none).
+    pub(crate) fn mean(&self) -> f64 {
+        if self.cells > 0 {
+            self.tokens as f64 / self.cells as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 impl ColumnStats {
@@ -57,7 +106,7 @@ impl ColumnStats {
         let len = column.len();
         let missing = column.missing_count();
         let cardinality = column.cardinality();
-        let values = column.numeric_values();
+        let values: Vec<f64> = finite_values(column).collect();
 
         let (mean, std, min, max, skewness, kurtosis, quantiles) = if values.is_empty() {
             (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0; 5])
@@ -81,8 +130,11 @@ impl ColumnStats {
             } else {
                 (0.0, 0.0)
             };
-            let mut sorted = values.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut sorted = values;
+            // Finite values are totally ordered by `partial_cmp`; unlike
+            // `total_cmp` it keeps -0.0 and 0.0 equal, so the stable sort
+            // leaves them in row order.
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             let q = |p: f64| -> f64 {
                 let idx = (p * (sorted.len() - 1) as f64).round() as usize;
                 sorted[idx.min(sorted.len() - 1)]
@@ -99,26 +151,8 @@ impl ColumnStats {
             )
         };
 
-        let mut token_sum = 0usize;
-        let mut char_sum = 0usize;
-        let mut string_count = 0usize;
-        for i in 0..len {
-            if let Some(s) = column.as_string(i) {
-                token_sum += s.split_whitespace().count();
-                char_sum += s.chars().count();
-                string_count += 1;
-            }
-        }
-        let mean_tokens = if string_count > 0 && column.kind() == ColumnKind::Text {
-            token_sum as f64 / string_count as f64
-        } else {
-            0.0
-        };
-        let mean_chars = if string_count > 0 {
-            char_sum as f64 / string_count as f64
-        } else {
-            0.0
-        };
+        let mut tokens = TokenSum::default();
+        tokens.add(column);
 
         ColumnStats {
             kind: column.kind(),
@@ -132,8 +166,7 @@ impl ColumnStats {
             skewness,
             kurtosis,
             quantiles,
-            mean_tokens,
-            mean_chars,
+            mean_tokens: tokens.mean(),
         }
     }
 
@@ -203,7 +236,6 @@ mod tests {
         let c = Column::text(vec![Some("one two three"), Some("four five")]);
         let s = ColumnStats::compute(&c);
         assert!((s.mean_tokens - 2.5).abs() < 1e-12);
-        assert!(s.mean_chars > 0.0);
         assert_eq!(s.mean, 0.0, "text has no numeric view");
     }
 

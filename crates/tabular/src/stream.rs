@@ -7,37 +7,38 @@
 //! 1. a sequential quote-aware scan locates record boundaries (cheap: no
 //!    field is materialized) and surfaces every structural error at the
 //!    same source line the in-memory reader reports;
-//! 2. **pass 1** parses each chunk of records on the pool and reduces it
-//!    to per-column accumulators — present count, the numeric/marker
-//!    lattice flags, token sums, and the first-appearance distinct list;
-//! 3. the accumulators meet in chunk order, which reproduces
-//!    `infer_column`'s decisions exactly (the distinct lists merge into
-//!    the global first-appearance dictionary);
-//! 4. **pass 2** decodes each chunk into typed [`Column`]s under the
-//!    decided kinds, all categorical chunks sharing one dictionary `Arc`;
-//!    chunks merge in submission order.
+//! 2. **pass 1** parses each chunk of records on the pool, column by
+//!    column, and reduces every column of it at once: while its cells are
+//!    numbers or missing markers they are decoded (one parse per cell);
+//!    otherwise they are dictionary-encoded in first-appearance order,
+//!    the distinct values kept as slices of the input. The chunk's parsed
+//!    cells die with its task;
+//! 3. the reductions meet in chunk order, which reproduces
+//!    `infer_column`'s decisions exactly: the numeric rule over the merged
+//!    flags, then [`string_kind`] over the merged counts (the chunk
+//!    dictionaries merge into the global first-appearance dictionary).
+//!    A chunk that looked numeric in a column another chunk proves
+//!    non-numeric is re-parsed to encode its strings — the one case that
+//!    reads a chunk twice;
+//! 4. the typed chunks come straight from the reductions: numeric values
+//!    as decoded, categorical codes remapped into one dictionary `Arc`
+//!    shared by every chunk, text cells rebuilt from their chunk
+//!    dictionary.
 //!
-//! With [`ChunkedReadOptions::bounded_memory`] the reader trades one extra
-//! parse for bounded buffering: chunks are processed in waves of at most
-//! `2 × workers`, so no more than two chunks of parsed cells are resident
-//! per worker at any time (pass 2 re-parses from the source). The default
-//! mode parses once and keeps the borrowed cells between passes — cells
-//! are slices into the input, so this costs pointers, not string copies.
+//! Because each chunk is reduced as soon as it is parsed, no more than one
+//! chunk of parsed cells per worker is resident at any time, whatever
+//! [`ChunkedReadOptions::bounded_memory`] says.
 
 use crate::chunk::ChunkedFrame;
-use crate::column::Column;
-use crate::csv::{header_names, parse_span, ragged_row_error, scan_records, RecordSpan};
-use crate::infer::{is_missing_marker, parse_number};
+use crate::column::{Column, ColumnKind};
+use crate::csv::{parse_columns, scan_document, unique_name, RecordSpan};
+use crate::infer::{decode_numeric, encode, string_kind};
 use crate::parallel::effective_parallelism;
 use crate::Result;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::Arc;
-
-/// One parsed record: borrowed cells, `None` = missing.
-type Record<'a> = Vec<Option<Cow<'a, str>>>;
 
 /// Options for [`read_chunked`].
 #[derive(Debug, Clone)]
@@ -46,9 +47,9 @@ pub struct ChunkedReadOptions {
     pub chunk_rows: usize,
     /// Requested worker count; clamped through [`effective_parallelism`].
     pub parallelism: usize,
-    /// When set, parse in waves of `2 × workers` chunks and re-parse in
-    /// pass 2, bounding resident parse buffers instead of keeping every
-    /// chunk's cells alive between passes.
+    /// Has no effect: every read reduces each chunk as soon as it is
+    /// parsed, so at most one chunk of parsed cells per worker is
+    /// resident whatever this says. Kept because existing callers set it.
     pub bounded_memory: bool,
 }
 
@@ -73,197 +74,146 @@ pub struct IngestReport {
     /// Workers used after clamping.
     pub workers: usize,
     /// Peak number of chunks whose parsed cells were resident at once —
-    /// the peak-RSS proxy. `<= 2 × workers` in bounded mode.
+    /// the peak-RSS proxy: at most one per worker.
     pub peak_resident_chunks: usize,
 }
 
-/// Per-column accumulator a chunk reduces to in pass 1. Merging these in
-/// chunk order reproduces `infer_column`'s decision inputs exactly.
-struct ColAcc {
-    present: usize,
-    all_num_or_marker: bool,
-    any_real: bool,
-    token_sum: usize,
-    /// Distinct present values in first-appearance order within the chunk.
-    distinct: Vec<String>,
-}
-
-impl ColAcc {
-    fn new() -> ColAcc {
-        ColAcc {
-            present: 0,
-            all_num_or_marker: true,
-            any_real: false,
-            token_sum: 0,
-            distinct: Vec::new(),
-        }
-    }
-}
-
-/// The decided kind of a column, carried into pass-2 decode.
-enum KindDecision {
-    Numeric,
-    Text,
-    Categorical {
-        dictionary: Arc<Vec<String>>,
-        lookup: HashMap<String, u32>,
+/// What pass 1 keeps of one column of one chunk once its cells are gone.
+enum Reduced<'a> {
+    /// Every present cell is a number or a missing marker.
+    Numeric {
+        values: Vec<Option<f64>>,
+        present: usize,
+        any_real: bool,
+    },
+    /// Some present cell is neither: a chunk-local first-appearance
+    /// dictionary encoding. Distinct values borrow the input unless the
+    /// field needed unescaping.
+    Strings {
+        distinct: Vec<Cow<'a, str>>,
+        codes: Vec<Option<u32>>,
+        present: usize,
+        token_sum: usize,
     },
 }
 
-/// Parses one chunk of record spans and ragged-checks it. `base` is the
-/// global index of the chunk's first data record (for error parity with
-/// the in-memory reader).
-fn parse_chunk<'a>(
-    input: &'a str,
-    spans: &[RecordSpan],
-    base: usize,
-    ncols: usize,
-) -> Result<Vec<Record<'a>>> {
-    let mut rows = Vec::with_capacity(spans.len());
-    for (i, span) in spans.iter().enumerate() {
-        let row = parse_span(input, *span)?;
-        if row.len() != ncols {
-            return Err(ragged_row_error(base + i, ncols, row.len()));
-        }
-        rows.push(row);
+/// Reduces one column of a parsed chunk (see the module docs, step 2).
+fn reduce(cells: Vec<Option<Cow<'_, str>>>) -> Reduced<'_> {
+    match decode_numeric(cells.iter().map(|c| c.as_deref())) {
+        Some(d) => Reduced::Numeric {
+            values: d.values,
+            present: d.present,
+            any_real: d.any_real,
+        },
+        None => reduce_strings(cells),
     }
-    Ok(rows)
 }
 
-/// Reduces a parsed chunk to per-column accumulators. With `details`
-/// unset, only the cheap numeric-lattice flags are collected — the
-/// token sums and distinct lists those flags gate are consumed solely
-/// for non-numeric columns (`infer_column` early-returns on numeric
-/// ones), so the resident-cells mode defers them to
-/// [`accumulate_details`] once the numeric mask is known. Bounded mode
-/// collects everything in one pass because the cells are dropped after
-/// it.
-fn accumulate(rows: &[Record<'_>], ncols: usize, details: bool) -> Vec<ColAcc> {
-    let mut accs: Vec<ColAcc> = (0..ncols).map(|_| ColAcc::new()).collect();
-    for c in 0..ncols {
-        // Chunk-local membership; the set is never iterated.
-        let mut seen: HashSet<&str> = HashSet::new();
-        let acc = &mut accs[c];
-        for row in rows {
-            if let Some(s) = row[c].as_deref() {
-                acc.present += 1;
-                // Once one cell breaks the numeric lattice the column can
-                // never be numeric (`decide` tests `all_num && any_real`),
-                // so the remaining cells skip the parse probe entirely.
-                if acc.all_num_or_marker {
-                    if parse_number(s).is_some() {
-                        acc.any_real = true;
-                    } else if !is_missing_marker(s) {
-                        acc.all_num_or_marker = false;
-                    }
-                }
-                if details {
-                    acc.token_sum += s.split_whitespace().count();
-                    if seen.insert(s) {
-                        acc.distinct.push(s.to_string());
-                    }
-                }
+/// The string half of [`reduce`], also used to back-fill chunks.
+fn reduce_strings(mut cells: Vec<Option<Cow<'_, str>>>) -> Reduced<'_> {
+    let encoded = encode(cells.iter().map(|c| c.as_deref()));
+    Reduced::Strings {
+        distinct: encoded
+            .first_rows
+            .iter()
+            .map(|&r| cells[r].take().unwrap_or_default())
+            .collect(),
+        codes: encoded.codes,
+        present: encoded.present,
+        token_sum: encoded.token_sum,
+    }
+}
+
+/// The numeric rule over every chunk of one column: all chunks decoded
+/// as numbers, and at least one number or nothing present at all.
+fn is_numeric(chunks: &[Reduced<'_>]) -> bool {
+    let mut present = 0usize;
+    let mut any_real = false;
+    for chunk in chunks {
+        match chunk {
+            Reduced::Numeric {
+                present: p,
+                any_real: a,
+                ..
+            } => {
+                present += p;
+                any_real |= a;
             }
+            Reduced::Strings { .. } => return false,
         }
     }
-    accs
+    any_real || present == 0
 }
 
-/// The deferred half of pass 1: token sums and first-appearance distinct
-/// lists for the given (non-numeric) columns only. Returns
-/// `(column, token_sum, distinct)` triples to fold back into the chunk's
-/// accumulators.
-fn accumulate_details(rows: &[Record<'_>], cols: &[usize]) -> Vec<(usize, usize, Vec<String>)> {
-    cols.iter()
-        .map(|&c| {
-            let mut seen: HashSet<&str> = HashSet::new();
-            let mut token_sum = 0usize;
-            let mut distinct: Vec<String> = Vec::new();
-            for row in rows {
-                if let Some(s) = row[c].as_deref() {
-                    token_sum += s.split_whitespace().count();
-                    if seen.insert(s) {
-                        distinct.push(s.to_string());
-                    }
-                }
-            }
-            (c, token_sum, distinct)
-        })
-        .collect()
-}
-
-/// Merges chunk accumulators (in chunk order) and takes `infer_column`'s
-/// decision per column, building the shared dictionary for categoricals.
-fn decide(ncols: usize, chunk_accs: &[Vec<ColAcc>]) -> Vec<KindDecision> {
-    const CATEGORICAL_DISTINCT_RATIO: f64 = 0.5;
-    const CATEGORICAL_MAX_DISTINCT: usize = 128;
-    const TEXT_MEAN_TOKENS: f64 = 4.0;
-    (0..ncols)
-        .map(|c| {
-            let mut present = 0usize;
-            let mut all_num = true;
-            let mut any_real = false;
-            let mut token_sum = 0usize;
-            for accs in chunk_accs {
-                let a = &accs[c];
-                present += a.present;
-                all_num &= a.all_num_or_marker;
-                any_real |= a.any_real;
-                token_sum += a.token_sum;
-            }
-            if present == 0 || (all_num && any_real) {
-                return KindDecision::Numeric;
-            }
-            // Global first-appearance dictionary: chunk lists merged in
-            // chunk order reproduce row-order first appearance.
-            let mut dictionary: Vec<String> = Vec::new();
-            let mut lookup: HashMap<String, u32> = HashMap::new();
-            for accs in chunk_accs {
-                for s in &accs[c].distinct {
-                    if !lookup.contains_key(s.as_str()) {
-                        lookup.insert(s.clone(), dictionary.len() as u32);
-                        dictionary.push(s.clone());
-                    }
-                }
-            }
-            let distinct_ratio = dictionary.len() as f64 / present as f64;
-            let mean_tokens = token_sum as f64 / present as f64;
-            let is_text = mean_tokens > TEXT_MEAN_TOKENS
-                || (dictionary.len() > CATEGORICAL_MAX_DISTINCT
-                    && distinct_ratio > CATEGORICAL_DISTINCT_RATIO);
-            if is_text {
-                KindDecision::Text
-            } else {
-                KindDecision::Categorical {
-                    dictionary: Arc::new(dictionary),
-                    lookup,
-                }
-            }
-        })
-        .collect()
-}
-
-/// Decodes a parsed chunk into typed columns under the decided kinds.
-fn decode_chunk(rows: &[Record<'_>], decisions: &[KindDecision]) -> Vec<Column> {
-    decisions
+/// Types one column from its chunk reductions (steps 3 and 4). The
+/// back-fill guarantees a non-numeric column's chunks are all
+/// [`Reduced::Strings`]; a numeric column's are all `Numeric` by
+/// definition.
+fn decode_column(chunks: Vec<Reduced<'_>>) -> Vec<Column> {
+    const BACK_FILLED: &str = "back-fill leaves one reduction kind per column";
+    if is_numeric(&chunks) {
+        return chunks
+            .into_iter()
+            .map(|chunk| match chunk {
+                Reduced::Numeric { values, .. } => Column::Numeric(values),
+                Reduced::Strings { .. } => unreachable!("{BACK_FILLED}"),
+            })
+            .collect();
+    }
+    // Global first-appearance dictionary: chunk dictionaries merged in
+    // chunk order reproduce row-order first appearance.
+    let mut lookup: HashMap<&str, u32> = HashMap::new();
+    let mut dictionary: Vec<&str> = Vec::new();
+    let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(chunks.len());
+    let mut present = 0usize;
+    let mut token_sum = 0usize;
+    for chunk in &chunks {
+        let Reduced::Strings {
+            distinct,
+            present: p,
+            token_sum: t,
+            ..
+        } = chunk
+        else {
+            unreachable!("{BACK_FILLED}");
+        };
+        present += p;
+        token_sum += t;
+        remaps.push(
+            distinct
+                .iter()
+                .map(|s| {
+                    *lookup.entry(s.as_ref()).or_insert_with(|| {
+                        dictionary.push(s.as_ref());
+                        (dictionary.len() - 1) as u32
+                    })
+                })
+                .collect(),
+        );
+    }
+    let kind = string_kind(present, dictionary.len(), token_sum);
+    let shared = Arc::new(dictionary.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    chunks
         .iter()
-        .enumerate()
-        .map(|(c, decision)| match decision {
-            KindDecision::Numeric => {
-                Column::numeric(rows.iter().map(|r| r[c].as_deref().and_then(parse_number)))
-            }
-            KindDecision::Text => {
-                Column::text(rows.iter().map(|r| r[c].as_deref().map(str::to_string)))
-            }
-            KindDecision::Categorical { dictionary, lookup } => {
-                let codes = rows
-                    .iter()
-                    .map(|r| r[c].as_deref().and_then(|s| lookup.get(s).copied()))
-                    .collect();
-                Column::Categorical {
-                    codes,
-                    dictionary: Arc::clone(dictionary),
-                }
+        .zip(&remaps)
+        .map(|(chunk, remap)| {
+            let Reduced::Strings {
+                distinct, codes, ..
+            } = chunk
+            else {
+                unreachable!("{BACK_FILLED}");
+            };
+            match kind {
+                ColumnKind::Text => Column::Text(
+                    codes
+                        .iter()
+                        .map(|c| c.map(|c| distinct[c as usize].to_string()))
+                        .collect(),
+                ),
+                _ => Column::Categorical {
+                    codes: codes.iter().map(|c| c.map(|c| remap[c as usize])).collect(),
+                    dictionary: Arc::clone(&shared),
+                },
             }
         })
         .collect()
@@ -283,7 +233,7 @@ where
 }
 
 /// Reads a CSV document into a [`ChunkedFrame`]; see the module docs for
-/// the two-pass scheme. `to_frame()` of the result is bit-identical to
+/// the scheme. `to_frame()` of the result is bit-identical to
 /// [`crate::csv::read_frame`] on the same input at any chunk size and
 /// worker count.
 pub fn read_chunked(input: &str, opts: &ChunkedReadOptions) -> Result<ChunkedFrame> {
@@ -295,17 +245,15 @@ pub fn read_chunked_with_report(
     input: &str,
     opts: &ChunkedReadOptions,
 ) -> Result<(ChunkedFrame, IngestReport)> {
-    let spans = scan_records(input)?;
-    let mut span_iter = spans.iter();
-    let header_span = span_iter
-        .next()
-        .ok_or(crate::error::TabularError::Empty("csv document"))?;
-    let header = header_names(parse_span(input, *header_span)?);
+    let (header, spans) = scan_document(input)?;
     let ncols = header.len();
-    let data_spans: &[RecordSpan] = &spans[1..];
-    let rows = data_spans.len();
     let chunk_rows = opts.chunk_rows.max(1);
-    let groups: Vec<&[RecordSpan]> = data_spans.chunks(chunk_rows).collect();
+    // (global index of the chunk's first record, its spans)
+    let groups: Vec<(usize, &[RecordSpan])> = spans
+        .chunks(chunk_rows)
+        .enumerate()
+        .map(|(k, g)| (k * chunk_rows, g))
+        .collect();
     let workers = effective_parallelism(opts.parallelism);
     let pool = if workers > 1 && groups.len() > 1 {
         rayon::ThreadPoolBuilder::new()
@@ -315,138 +263,63 @@ pub fn read_chunked_with_report(
     } else {
         None
     };
-    let wave_len = if opts.bounded_memory {
-        (2 * workers).max(1)
-    } else {
-        groups.len().max(1)
-    };
 
-    let mut columns: Vec<Vec<Column>> = (0..ncols).map(|_| Vec::new()).collect();
-    let mut chunk_sizes: Vec<usize> = Vec::with_capacity(groups.len());
-    let mut peak_resident = 0usize;
+    // Pass 1: parse and reduce every chunk; errors surface in chunk order.
+    let reduced: Vec<Vec<Reduced<'_>>> = map_ordered(pool.as_ref(), &groups, |&(base, g)| {
+        parse_columns(input, g, base, ncols).map(|cells| cells.into_iter().map(reduce).collect())
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
 
-    if opts.bounded_memory {
-        // Pass 1 in waves: parse, accumulate, drop the cells.
-        let mut chunk_accs: Vec<Vec<ColAcc>> = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for wave in groups.chunks(wave_len) {
-            peak_resident = peak_resident.max(wave.len());
-            let tasks: Vec<(usize, &[RecordSpan])> = wave
-                .iter()
-                .scan(base, |b, g| {
-                    let t = (*b, *g);
-                    *b += g.len();
-                    Some(t)
+    // Back-fill: chunks that looked numeric in a column the merged flags
+    // prove non-numeric are re-parsed to encode their strings.
+    let mut by_column: Vec<Vec<Reduced<'_>>> = (0..ncols)
+        .map(|_| Vec::with_capacity(groups.len()))
+        .collect();
+    for chunk in reduced {
+        for (c, column) in chunk.into_iter().enumerate() {
+            by_column[c].push(column);
+        }
+    }
+    let strings_needed: Vec<bool> = by_column.iter().map(|col| !is_numeric(col)).collect();
+    let refill: Vec<usize> = (0..groups.len())
+        .filter(|&k| {
+            (0..ncols)
+                .any(|c| strings_needed[c] && matches!(by_column[c][k], Reduced::Numeric { .. }))
+        })
+        .collect();
+    let refilled = map_ordered(pool.as_ref(), &refill, |&k| {
+        let (base, g) = groups[k];
+        parse_columns(input, g, base, ncols).map(|cells| {
+            cells
+                .into_iter()
+                .enumerate()
+                .filter(|&(c, _)| {
+                    strings_needed[c] && matches!(by_column[c][k], Reduced::Numeric { .. })
                 })
-                .collect();
-            base += wave.iter().map(|g| g.len()).sum::<usize>();
-            let parsed = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-                parse_chunk(input, g, b, ncols).map(|rows| accumulate(&rows, ncols, true))
-            });
-            for accs in parsed {
-                chunk_accs.push(accs?);
-            }
-        }
-        let decisions = decide(ncols, &chunk_accs);
-        // Pass 2 in waves: re-parse and decode.
-        let mut base = 0usize;
-        for wave in groups.chunks(wave_len) {
-            let tasks: Vec<(usize, &[RecordSpan])> = wave
-                .iter()
-                .scan(base, |b, g| {
-                    let t = (*b, *g);
-                    *b += g.len();
-                    Some(t)
-                })
-                .collect();
-            base += wave.iter().map(|g| g.len()).sum::<usize>();
-            let decoded = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-                parse_chunk(input, g, b, ncols).map(|rows| decode_chunk(&rows, &decisions))
-            });
-            for (wave_idx, chunk) in decoded.into_iter().enumerate() {
-                let chunk = chunk?;
-                chunk_sizes.push(wave[wave_idx].len());
-                for (c, col) in chunk.into_iter().enumerate() {
-                    columns[c].push(col);
-                }
-            }
-        }
-    } else {
-        // Single parse: keep borrowed cells between the passes.
-        peak_resident = groups.len();
-        let tasks: Vec<(usize, &[RecordSpan])> = groups
-            .iter()
-            .scan(0usize, |b, g| {
-                let t = (*b, *g);
-                *b += g.len();
-                Some(t)
-            })
-            .collect();
-        let parsed = map_ordered(pool.as_ref(), &tasks, |&(b, g)| {
-            parse_chunk(input, g, b, ncols)
-        });
-        let mut chunks: Vec<Vec<Record<'_>>> = Vec::with_capacity(parsed.len());
-        for chunk in parsed {
-            chunks.push(chunk?);
-        }
-        let mut chunk_accs: Vec<Vec<ColAcc>> = map_ordered(pool.as_ref(), &chunks, |rows| {
-            accumulate(rows, ncols, false)
-        });
-        // Columns the merged flags already prove numeric never need token
-        // or distinct inputs; back-fill details for the rest only (the
-        // condition mirrors `decide`'s numeric branch exactly).
-        let needs_details: Vec<usize> = (0..ncols)
-            .filter(|&c| {
-                let mut present = 0usize;
-                let mut all_num = true;
-                let mut any_real = false;
-                for accs in &chunk_accs {
-                    present += accs[c].present;
-                    all_num &= accs[c].all_num_or_marker;
-                    any_real |= accs[c].any_real;
-                }
-                !(present == 0 || (all_num && any_real))
-            })
-            .collect();
-        if !needs_details.is_empty() {
-            let details = map_ordered(pool.as_ref(), &chunks, |rows| {
-                accumulate_details(rows, &needs_details)
-            });
-            for (accs, dets) in chunk_accs.iter_mut().zip(details) {
-                for (c, token_sum, distinct) in dets {
-                    accs[c].token_sum = token_sum;
-                    accs[c].distinct = distinct;
-                }
-            }
-        }
-        let decisions = decide(ncols, &chunk_accs);
-        let decoded = map_ordered(pool.as_ref(), &chunks, |rows| {
-            decode_chunk(rows, &decisions)
-        });
-        for (g, chunk) in decoded.into_iter().enumerate() {
-            chunk_sizes.push(groups[g].len());
-            for (c, col) in chunk.into_iter().enumerate() {
-                columns[c].push(col);
-            }
+                .map(|(c, cells)| (c, reduce_strings(cells)))
+                .collect::<Vec<_>>()
+        })
+    });
+    for (&k, columns) in refill.iter().zip(refilled) {
+        for (c, column) in columns? {
+            by_column[c][k] = column;
         }
     }
 
-    // Duplicate headers get the same positional suffixes read_frame applies.
+    let columns: Vec<Vec<Column>> = by_column.into_iter().map(decode_column).collect();
     let mut names: Vec<String> = Vec::with_capacity(ncols);
-    for (c, base_name) in header.into_iter().enumerate() {
-        let mut name = base_name;
-        while names.contains(&name) {
-            name = format!("{name}.{c}");
-        }
+    for (c, name) in header.into_iter().enumerate() {
+        let name = unique_name(&names, name, c);
         names.push(name);
     }
-
+    let chunk_sizes: Vec<usize> = groups.iter().map(|(_, g)| g.len()).collect();
     let frame = ChunkedFrame::from_parts(names, columns, chunk_sizes);
     let report = IngestReport {
-        rows,
+        rows: spans.len(),
         chunks: groups.len(),
         workers,
-        peak_resident_chunks: peak_resident,
+        peak_resident_chunks: groups.len().min(if pool.is_some() { workers } else { 1 }),
     };
     Ok((frame, report))
 }
@@ -485,6 +358,34 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn chunks_that_look_numeric_are_back_filled() {
+        // Chunks 0..3 decode as numbers; the last one proves the column
+        // categorical, and the all-marker column is never numeric.
+        let doc = "id,m\n1,NA\n2,?\n3,null\nabc,NA\n";
+        let expected = read_frame(doc).unwrap();
+        assert_eq!(
+            expected.column("id").unwrap().kind(),
+            ColumnKind::Categorical
+        );
+        assert_eq!(
+            expected.column("m").unwrap().kind(),
+            ColumnKind::Categorical
+        );
+        for chunk_rows in [1, 2, 3, 4] {
+            let opts = ChunkedReadOptions {
+                chunk_rows,
+                ..ChunkedReadOptions::default()
+            };
+            let frame = read_frame_chunked(doc, &opts).unwrap();
+            assert_eq!(
+                frame.fingerprint(),
+                expected.fingerprint(),
+                "chunk_rows={chunk_rows}"
+            );
         }
     }
 

@@ -27,8 +27,11 @@ cargo test -p kgpip-nn --test props -q
 cargo test -p kgpip-learners --test gbt_determinism -q
 cargo test -p kgpip --test mining_determinism -q
 
-echo "==> chunked-identity suite (chunking changes cost, never results)"
+echo "==> chunked-identity suite (chunking changes cost, never results; parse-once ingest ≡ golden fixture ≡ previous definitions)"
 cargo test -p kgpip-tabular --test chunked_identity -q
+cargo test -p kgpip-tabular --test props -q
+cargo test -p kgpip-embeddings --test ingest_golden -q
+cargo test -p kgpip-embeddings --test props -q
 cargo test -p kgpip-learners --test gbt_chunked -q
 
 echo "==> similarity-tier suite (HNSW determinism; mapped ≡ owned; recall gate)"
