@@ -20,6 +20,13 @@
 //! * `flaml_chain_*` — fixed skeleton with a transformer chain, so every
 //!   trial re-fits the same scaler prefix: the arm that exercises the
 //!   transformer-prefix cache (bare skeletons bypass it).
+//! * `trial_forest_*` — one random-forest trial (199 trees, depth 7) at
+//!   the shape of a budgeted run's houses trials: 168 fitting rows × 8
+//!   features, regression and classification. The per-trial fit cost of
+//!   the CART builder.
+//! * `autosklearn_skeleton_forest_*` — a random-forest skeleton search at
+//!   the same shape with ensemble selection on: search plus ensembling,
+//!   the unit of work a budgeted run gives each skeleton.
 //!
 //! After the criterion arms, the harness runs one instrumented search per
 //! configuration and emits `BENCH_JSON` summary lines with trials/sec and
@@ -35,8 +42,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kgpip_benchdata::generate::{synthesize, SynthSpec};
 use kgpip_hpo::space::Skeleton;
-use kgpip_hpo::{Flaml, Optimizer, TimeBudget};
-use kgpip_learners::{EstimatorKind, TransformerKind};
+use kgpip_hpo::{AutoSklearn, Evaluator, Flaml, Optimizer, TimeBudget};
+use kgpip_learners::{EstimatorKind, Params, TransformerKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -53,6 +60,24 @@ fn dataset(rows: usize) -> kgpip_tabular::Dataset {
             cat: 1,
             text: 0,
             classes: 2,
+            ceiling: 0.9,
+            missing: 0.0,
+        },
+        0,
+    )
+}
+
+/// 210 rows × 8 numeric features: the evaluator holds out 20%, leaving
+/// the 168 × 8 fitting matrix of a budgeted run's houses trials.
+fn houses_shape(classes: usize) -> kgpip_tabular::Dataset {
+    synthesize(
+        &SynthSpec {
+            name: "houses_shape_bench".to_string(),
+            rows: 210,
+            num: 8,
+            cat: 0,
+            text: 0,
+            classes,
             ceiling: 0.9,
             missing: 0.0,
         },
@@ -144,6 +169,35 @@ fn bench_parallel_hpo(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // --- Per-trial fit cost and a skeleton search with ensembling, at
+    // the houses shape ---
+    let forest: Params = [("n_estimators", 199.0), ("max_depth", 7.0)]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    let forest_skeleton = Skeleton::bare(EstimatorKind::RandomForest);
+    for (task, classes) in [("regression", 0usize), ("classification", 2)] {
+        let ds = houses_shape(classes);
+        let evaluator = Evaluator::new(&ds, 0, &budget()).unwrap();
+        group.bench_function(format!("trial_forest_199x7_168x8_{task}"), |b| {
+            b.iter(|| evaluator.evaluate(&forest_skeleton, black_box(forest.clone())))
+        });
+        group.bench_function(
+            format!("autosklearn_skeleton_forest_ensemble_24_trials_{task}"),
+            |b| {
+                b.iter_batched(
+                    || AutoSklearn::new(0),
+                    |mut engine| {
+                        engine
+                            .optimize_skeleton(black_box(&ds), &forest_skeleton, &budget())
+                            .unwrap()
+                    },
+                    BatchSize::SmallInput,
+                )
+            },
+        );
+    }
     group.finish();
 
     // --- Machine-readable summary: trials/sec + cache hit rate ---

@@ -10,7 +10,9 @@
 //!   trial scores; candidates are chosen by expected improvement, with the
 //!   forest's per-tree spread as the uncertainty estimate,
 //! * **greedy ensemble selection** (Caruana-style) over the trial history,
-//!   deployed as a majority-vote / mean ensemble.
+//!   deployed as a majority-vote / mean ensemble. Members are scored from
+//!   the holdout predictions the evaluator kept when their trials ran, so
+//!   selection refits nothing.
 
 use crate::budget::TimeBudget;
 use crate::meta::{meta_distance, meta_features, META_DIM};
@@ -23,6 +25,8 @@ use kgpip_learners::{Estimator, EstimatorKind, Matrix, Params};
 use kgpip_tabular::{Dataset, Task};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Maximum hyperparameter dimensions across all learners (for surrogate
 /// input padding).
@@ -208,10 +212,13 @@ impl AutoSklearn {
                     let mu = preds.iter().sum::<f64>() / preds.len() as f64;
                     let var =
                         preds.iter().map(|p| (p - mu).powi(2)).sum::<f64>() / preds.len() as f64;
+                    // Scores on a huge scale can overflow the surrogate's
+                    // mean or spread; a NaN EI is no evidence of improvement.
                     let ei = expected_improvement(mu, var.sqrt(), best_score);
+                    let ei = if ei.is_nan() { f64::NEG_INFINITY } else { ei };
                     scored.push((ei, kind, params));
                 }
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
                 scored
                     .into_iter()
                     .take(proposals)
@@ -239,21 +246,13 @@ impl AutoSklearn {
         Ok(result)
     }
 
-    /// Greedy forward ensemble selection over the top unique trial specs.
+    /// Greedy forward ensemble selection over the unique specs among the best
+    /// trials, scored from the holdout predictions the evaluator kept.
     fn select_ensemble(&self, evaluator: &Evaluator, result: &mut HpoResult) {
-        let mut ranked: Vec<(&TrialOutcome, f64)> = result
-            .history
-            .iter()
-            .filter_map(|t| t.score.map(|s| (t, s)))
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        let mut pool: Vec<(PipelineSpec, Vec<f64>)> = Vec::new();
-        for (t, _) in ranked.into_iter().take(8) {
-            if pool.iter().any(|(s, _)| *s == t.spec) {
-                continue;
-            }
-            if let Some(preds) = evaluator.predictions(&t.spec) {
-                pool.push((t.spec.clone(), preds));
+        let mut pool: Vec<(PipelineSpec, Arc<Vec<f64>>)> = Vec::new();
+        for (spec, preds) in evaluator.best_predictions() {
+            if !pool.iter().any(|(s, _)| *s == spec) {
+                pool.push((spec, preds));
             }
         }
         if pool.len() < 2 {
@@ -266,8 +265,11 @@ impl AutoSklearn {
         while members.len() < MAX_ENSEMBLE {
             let mut best_add: Option<(usize, f64)> = None;
             for cand in 0..pool.len() {
-                let mut preds: Vec<Vec<f64>> = members.iter().map(|&m| pool[m].1.clone()).collect();
-                preds.push(pool[cand].1.clone());
+                let preds: Vec<&[f64]> = members
+                    .iter()
+                    .chain(std::iter::once(&cand))
+                    .map(|&m| pool[m].1.as_slice())
+                    .collect();
                 let combined = crate::trial::combine_predictions(&preds, classification);
                 let score = kgpip_learners::pipeline::score_predictions(valid, &combined);
                 if best_add.is_none_or(|(_, b)| score > b) {
@@ -512,6 +514,55 @@ mod tests {
         assert_eq!(expected_improvement(0.2, 0.0, 0.5), 0.0);
         // Uncertainty adds value even below the incumbent.
         assert!(expected_improvement(0.4, 0.5, 0.5) > 0.0);
+    }
+
+    /// A regression table whose cells are on the ±1e300 scale: linear
+    /// trials overflow and score NaN. Each such trial must fail on its own, with a typed
+    /// error, and never take the search down.
+    #[test]
+    fn non_finite_trial_scores_fail_the_trial_not_the_search() {
+        let n = 120;
+        let col = |k: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| {
+                    let sign = if (i * (k + 3)) % 5 < 2 { -1.0 } else { 1.0 };
+                    sign * (1.0 + ((i * (2 * k + 7)) % 13) as f64) * 1e300
+                })
+                .collect()
+        };
+        let y: Vec<f64> = (0..n)
+            .map(|i| (i % 3) as f64 + (i % 7) as f64 * 0.25)
+            .collect();
+        let f = DataFrame::from_columns(vec![
+            ("a".to_string(), Column::from_f64(col(0))),
+            ("b".to_string(), Column::from_f64(col(1))),
+            ("c".to_string(), Column::from_f64(col(2))),
+        ])
+        .unwrap();
+        let ds = Dataset::new("huge", f, y, Task::Regression).unwrap();
+        let budget = || TimeBudget::seconds(600.0).with_trial_cap(24);
+        let auto = AutoSklearn::new(0)
+            .optimize(&ds, &budget())
+            .expect("search survives");
+        let flaml = crate::Flaml::new(0)
+            .optimize(&ds, &budget())
+            .expect("search survives");
+        for result in [&auto, &flaml] {
+            assert!(result.valid_score.is_finite());
+            assert!(result
+                .history
+                .iter()
+                .all(|t| t.score.is_none_or(f64::is_finite)));
+        }
+        let expected = HpoError::NonFiniteScore(f64::NAN).to_string();
+        assert!(
+            auto.history
+                .iter()
+                .filter_map(|t| t.error.as_deref())
+                .any(|e| e == expected),
+            "linear trials fail as non-finite: {:?}",
+            auto.report.errors
+        );
     }
 
     #[test]

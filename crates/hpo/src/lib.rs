@@ -66,6 +66,9 @@ pub enum HpoError {
     BaselineFailure(String),
     /// An underlying learner error that invalidated the whole search.
     Learner(String),
+    /// A trial's validation score was NaN or infinite (e.g. an R² whose
+    /// residual sum overflowed); the trial counts as failed.
+    NonFiniteScore(f64),
 }
 
 impl std::fmt::Display for HpoError {
@@ -75,6 +78,7 @@ impl std::fmt::Display for HpoError {
             HpoError::NoUsableLearner => write!(f, "no usable learner for this task"),
             HpoError::BaselineFailure(m) => write!(f, "baseline failure: {m}"),
             HpoError::Learner(m) => write!(f, "learner error: {m}"),
+            HpoError::NonFiniteScore(s) => write!(f, "trial scored {s}, not a finite number"),
         }
     }
 }

@@ -9,17 +9,21 @@
 //! bookkeeping. With `parallelism == 1` the engine reproduces the
 //! sequential evaluation order bit-for-bit, which keeps seeded runs
 //! deterministic.
+//!
+//! Every trial fits once. The evaluator keeps the holdout predictions of
+//! the best [`ENSEMBLE_POOL`] trials as it records them, so ensemble
+//! selection reads stored predictions instead of refitting its members.
 
 use crate::budget::{BudgetGate, TimeBudget};
 use crate::space::Skeleton;
 use crate::Result;
-use kgpip_learners::pipeline::{Pipeline, PipelineSpec};
+use kgpip_learners::pipeline::{score_predictions, Pipeline, PipelineSpec};
 use kgpip_learners::{EncodedDataset, Params, TransformCache};
 use kgpip_tabular::{effective_parallelism, train_test_split, Dataset};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Fraction of training rows held out for trial validation.
@@ -34,6 +38,10 @@ pub const SCORE_BLOCK_ROWS: usize = 4096;
 
 /// Cap on distinct failure messages kept in a [`SearchReport`].
 pub const MAX_REPORT_ERRORS: usize = 8;
+
+/// Trials whose holdout predictions the [`Evaluator`] keeps for ensemble
+/// selection: the best this many recorded so far.
+pub const ENSEMBLE_POOL: usize = 8;
 
 /// The outcome of one pipeline-spec evaluation.
 #[derive(Debug, Clone)]
@@ -195,17 +203,17 @@ impl HpoResult {
 
 /// Combines member predictions: majority vote for classification, mean
 /// for regression.
-pub fn combine_predictions(preds: &[Vec<f64>], classification: bool) -> Vec<f64> {
+pub fn combine_predictions<P: AsRef<[f64]>>(preds: &[P], classification: bool) -> Vec<f64> {
     if preds.len() == 1 {
-        return preds[0].clone();
+        return preds[0].as_ref().to_vec();
     }
-    let n = preds[0].len();
+    let n = preds[0].as_ref().len();
     (0..n)
         .map(|i| {
             if classification {
                 let mut counts: std::collections::BTreeMap<u64, usize> = Default::default();
                 for p in preds {
-                    *counts.entry(p[i].to_bits()).or_insert(0) += 1;
+                    *counts.entry(p.as_ref()[i].to_bits()).or_insert(0) += 1;
                 }
                 counts
                     .into_iter()
@@ -213,7 +221,7 @@ pub fn combine_predictions(preds: &[Vec<f64>], classification: bool) -> Vec<f64>
                     .map(|(bits, _)| f64::from_bits(bits))
                     .unwrap_or(0.0)
             } else {
-                preds.iter().map(|p| p[i]).sum::<f64>() / preds.len() as f64
+                preds.iter().map(|p| p.as_ref()[i]).sum::<f64>() / preds.len() as f64
             }
         })
         .collect()
@@ -275,8 +283,9 @@ impl Candidate {
 }
 
 /// The shared trial-evaluation engine: a deterministic holdout split, a
-/// thread-safe trial history, a [`BudgetGate`], and an evaluation worker
-/// pool.
+/// thread-safe trial history, a [`BudgetGate`], an evaluation worker pool
+/// (built once, on the first parallel batch), and the holdout predictions
+/// of the best [`ENSEMBLE_POOL`] trials.
 ///
 /// Optimizers call [`evaluate_batch`] with the candidates they want tried
 /// this round. The evaluator admits candidates through the gate in
@@ -300,7 +309,14 @@ pub struct Evaluator {
     caching: bool,
     gate: BudgetGate,
     history: Mutex<Vec<TrialOutcome>>,
+    /// Holdout predictions of the best recorded trials, best first;
+    /// updated under the history lock.
+    best: Mutex<Vec<KeptTrial>>,
     parallelism: usize,
+    /// The trial worker pool, built on the first batch that runs
+    /// concurrently; `None` inside when construction failed (batches then
+    /// run sequentially, with the same outcomes).
+    pool: OnceLock<Option<rayon::ThreadPool>>,
     /// Trials that took the pre-encoded fast path (see
     /// [`SearchReport::encoded_trials`]).
     encoded_trials: AtomicU64,
@@ -329,7 +345,9 @@ impl Evaluator {
             caching: true,
             gate: BudgetGate::new(budget),
             history: Mutex::new(Vec::new()),
+            best: Mutex::new(Vec::new()),
             parallelism: 1,
+            pool: OnceLock::new(),
             encoded_trials: AtomicU64::new(0),
         })
     }
@@ -407,30 +425,58 @@ impl Evaluator {
     /// means the budget is exhausted.
     pub fn evaluate_batch(&self, batch: &[Candidate]) -> Vec<TrialOutcome> {
         let admitted: Vec<&Candidate> = batch.iter().take_while(|_| self.gate.admit()).collect();
-        // Clamp to the CPUs actually present: on a 1-CPU host a
-        // `parallelism = 2` config would pay pool construction and
-        // contention for zero concurrency (outcomes are recorded in
-        // proposal order either way, so only the cost changes).
-        let workers = effective_parallelism(self.parallelism);
-        let outcomes: Vec<TrialOutcome> = if workers > 1 && admitted.len() > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("thread pool construction");
-            pool.install(|| {
-                admitted
-                    .par_iter()
-                    .map(|c| self.evaluate(&c.skeleton, c.params.clone()))
-                    .collect()
-            })
+        let run = |c: &&Candidate| self.run_trial(&c.skeleton, c.params.clone());
+        let pool = if admitted.len() > 1 {
+            self.worker_pool()
         } else {
-            admitted
-                .iter()
-                .map(|c| self.evaluate(&c.skeleton, c.params.clone()))
-                .collect()
+            None
         };
-        self.history.lock().extend(outcomes.iter().cloned());
+        let trials: Vec<(TrialOutcome, Option<Vec<f64>>)> = match pool {
+            Some(pool) => pool.install(|| admitted.par_iter().map(run).collect()),
+            None => admitted.iter().map(run).collect(),
+        };
+        let mut history = self.history.lock();
+        let mut best = self.best.lock();
+        let mut outcomes = Vec::with_capacity(trials.len());
+        for (outcome, predictions) in trials {
+            if let (Some(score), Some(predictions)) = (outcome.score, predictions) {
+                keep_if_best(&mut best, score, &outcome.spec, predictions);
+            }
+            history.push(outcome.clone());
+            outcomes.push(outcome);
+        }
         outcomes
+    }
+
+    /// The trial worker pool, built on first use. Clamped to the CPUs
+    /// actually present: on a 1-CPU host a `parallelism = 2` config would
+    /// pay pool construction and contention for zero concurrency, so it
+    /// gets no pool (outcomes are recorded in proposal order either way,
+    /// so only the cost changes).
+    fn worker_pool(&self) -> Option<&rayon::ThreadPool> {
+        let workers = effective_parallelism(self.parallelism);
+        if workers <= 1 {
+            return None;
+        }
+        self.pool
+            .get_or_init(|| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .ok()
+            })
+            .as_ref()
+    }
+
+    /// Holdout predictions of the best recorded trials (at most
+    /// [`ENSEMBLE_POOL`]), ranked by score descending, earlier trial
+    /// first — the candidates of ensemble selection.
+    pub fn best_predictions(&self) -> Vec<(PipelineSpec, Arc<Vec<f64>>)> {
+        self.best
+            .lock()
+            .iter()
+            .map(|kept| (kept.spec.clone(), Arc::clone(&kept.predictions)))
+            .collect()
     }
 
     /// Evaluates one spec *without* touching the gate or the history —
@@ -443,6 +489,14 @@ impl Evaluator {
     /// the shared transform cache — bit-for-bit the score of the raw
     /// `fit_score` path, minus the repeated encode/preprocess work.
     pub fn evaluate(&self, skeleton: &Skeleton, params: Params) -> TrialOutcome {
+        self.run_trial(skeleton, params).0
+    }
+
+    /// [`evaluate`] plus the trial's holdout predictions when it scored.
+    /// A non-finite score (e.g. an R² that overflowed) is a failed trial.
+    ///
+    /// [`evaluate`]: Evaluator::evaluate
+    fn run_trial(&self, skeleton: &Skeleton, params: Params) -> (TrialOutcome, Option<Vec<f64>>) {
         let spec = PipelineSpec {
             transformers: skeleton
                 .transformers
@@ -461,19 +515,29 @@ impl Evaluator {
                     self.encoded_trials.fetch_add(1, Ordering::Relaxed);
                     p.fit_score_encoded_streamed(tr, va, Some(&self.cache), SCORE_BLOCK_ROWS)
                 }
-                _ => p.fit_score(&self.train, &self.valid),
+                _ => {
+                    p.fit(&self.train)?;
+                    let predictions = p.predict(&self.valid)?;
+                    Ok((score_predictions(&self.valid, &predictions), predictions))
+                }
             }
         });
-        let (score, error) = match fit {
-            Ok(score) => (Some(score), None),
-            Err(e) => (None, Some(e.to_string())),
+        let (score, error, predictions) = match fit {
+            Ok((score, predictions)) if score.is_finite() => (Some(score), None, Some(predictions)),
+            Ok((score, _)) => (
+                None,
+                Some(crate::HpoError::NonFiniteScore(score).to_string()),
+                None,
+            ),
+            Err(e) => (None, Some(e.to_string()), None),
         };
-        TrialOutcome {
+        let outcome = TrialOutcome {
             spec,
             score,
             error,
             cost: started.elapsed(),
-        }
+        };
+        (outcome, predictions)
     }
 
     /// Builds the run result from the recorded history: the earliest
@@ -497,21 +561,34 @@ impl Evaluator {
         result.report = self.report();
         Ok(result)
     }
+}
 
-    /// Per-trial validation predictions for ensemble selection (same
-    /// cached fast path as [`evaluate`]).
-    ///
-    /// [`evaluate`]: Evaluator::evaluate
-    pub fn predictions(&self, spec: &PipelineSpec) -> Option<Vec<f64>> {
-        let mut p = Pipeline::from_spec(spec.clone()).ok()?;
-        match (self.caching, &self.encoded) {
-            (true, Some((tr, va))) => p.fit_predict_encoded(tr, va, Some(&self.cache)).ok(),
-            _ => {
-                p.fit(&self.train).ok()?;
-                p.predict(&self.valid).ok()
-            }
-        }
+/// A recorded trial whose holdout predictions are kept for ensemble
+/// selection.
+struct KeptTrial {
+    score: f64,
+    spec: PipelineSpec,
+    predictions: Arc<Vec<f64>>,
+}
+
+/// Records a scored trial among the best kept so far (`best` is ranked by
+/// score descending, earlier trial first, and holds at most
+/// [`ENSEMBLE_POOL`]). Trials arrive in history order, so a tie ranks
+/// behind every kept trial of the same score.
+fn keep_if_best(best: &mut Vec<KeptTrial>, score: f64, spec: &PipelineSpec, predictions: Vec<f64>) {
+    let at = best.partition_point(|kept| kept.score >= score);
+    if at >= ENSEMBLE_POOL {
+        return;
     }
+    best.insert(
+        at,
+        KeptTrial {
+            score,
+            spec: spec.clone(),
+            predictions: Arc::new(predictions),
+        },
+    );
+    best.truncate(ENSEMBLE_POOL);
 }
 
 #[cfg(test)]

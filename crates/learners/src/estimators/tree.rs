@@ -98,12 +98,13 @@ enum Criterion {
 }
 
 impl Criterion {
-    fn leaf_value(&self, y: &[f64], rows: &[usize]) -> Vec<f64> {
+    /// Leaf value of a node whose targets, in row order, are `ys`.
+    fn leaf_value(&self, ys: &[f64]) -> Vec<f64> {
         match self {
             Criterion::Gini { classes } => {
                 let mut dist = vec![0.0f64; *classes];
-                for &r in rows {
-                    let c = y[r] as usize;
+                for &yv in ys {
+                    let c = yv as usize;
                     if c < *classes {
                         dist[c] += 1.0;
                     }
@@ -117,7 +118,7 @@ impl Criterion {
                 dist
             }
             Criterion::Mse => {
-                let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len().max(1) as f64;
+                let mean = ys.iter().sum::<f64>() / ys.len().max(1) as f64;
                 vec![mean]
             }
         }
@@ -132,6 +133,7 @@ impl Criterion {
 }
 
 /// State for an incremental best-split scan of one feature.
+#[derive(Clone)]
 struct SplitScan {
     /// Classification: left class counts; regression: (sum, sumsq) packed.
     left: Vec<f64>,
@@ -141,12 +143,14 @@ struct SplitScan {
 }
 
 impl SplitScan {
-    fn init(criterion: &Criterion, y: &[f64], rows: &[usize]) -> SplitScan {
+    /// Everything on the right: the scan state before the first cut of a
+    /// node whose targets, in row order, are `ys`.
+    fn init(criterion: &Criterion, ys: &[f64]) -> SplitScan {
         match criterion {
             Criterion::Gini { classes } => {
                 let mut right = vec![0.0; *classes];
-                for &r in rows {
-                    let c = y[r] as usize;
+                for &yv in ys {
+                    let c = yv as usize;
                     if c < *classes {
                         right[c] += 1.0;
                     }
@@ -155,17 +159,17 @@ impl SplitScan {
                     left: vec![0.0; *classes],
                     right,
                     left_n: 0,
-                    right_n: rows.len(),
+                    right_n: ys.len(),
                 }
             }
             Criterion::Mse => {
-                let sum: f64 = rows.iter().map(|&r| y[r]).sum();
-                let sumsq: f64 = rows.iter().map(|&r| y[r] * y[r]).sum();
+                let sum: f64 = ys.iter().sum();
+                let sumsq: f64 = ys.iter().map(|&yv| yv * yv).sum();
                 SplitScan {
                     left: vec![0.0, 0.0],
                     right: vec![sum, sumsq],
                     left_n: 0,
-                    right_n: rows.len(),
+                    right_n: ys.len(),
                 }
             }
         }
@@ -223,152 +227,349 @@ impl SplitScan {
     }
 }
 
-fn build_tree(
-    x: &Matrix,
-    y: &[f64],
-    rows: Vec<usize>,
-    config: &TreeConfig,
-    criterion: &Criterion,
-    rng: &mut StdRng,
-) -> FittedTree {
-    let mut nodes = Vec::new();
-    build_node(x, y, rows, 0, config, criterion, rng, &mut nodes);
-    FittedTree {
-        nodes,
-        outputs: criterion.outputs(),
-    }
+fn is_pure(ys: &[f64]) -> bool {
+    ys.windows(2).all(|w| w[0] == w[1]) || ys.len() <= 1
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_node(
-    x: &Matrix,
-    y: &[f64],
-    rows: Vec<usize>,
-    depth: usize,
-    config: &TreeConfig,
-    criterion: &Criterion,
-    rng: &mut StdRng,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let make_leaf = |nodes: &mut Vec<Node>, rows: &[usize]| -> usize {
-        nodes.push(Node::Leaf(criterion.leaf_value(y, rows)));
-        nodes.len() - 1
-    };
-    if depth >= config.max_depth || rows.len() < config.min_samples_split || is_pure(y, &rows) {
-        return make_leaf(nodes, &rows);
-    }
-    // Feature subset for this node.
-    let d = x.cols();
+/// The candidate features of one node: all of them, or a shuffled
+/// `max_features` share drawn from `rng`.
+fn node_features(d: usize, config: &TreeConfig, rng: &mut StdRng) -> Vec<usize> {
     let n_feats = ((config.max_features * d as f64).ceil() as usize).clamp(1, d);
     let mut feats: Vec<usize> = (0..d).collect();
     if n_feats < d {
         feats.shuffle(rng);
         feats.truncate(n_feats);
     }
+    feats
+}
 
-    let mut best: Option<(f64, usize, f64)> = None; // (impurity, feature, threshold)
-    for &f in &feats {
-        let candidate = if config.random_thresholds {
-            random_threshold_split(x, y, &rows, f, config, criterion, rng)
+/// Dense per-feature ranks of a training matrix, computed once per fit:
+/// `ranks[f * n + r]` is the number of distinct values of column `f`
+/// below `x[r, f]`. Ties are decided by `==`, so `0.0` and `-0.0` share a
+/// rank — exactly the ties a stable sort by `partial_cmp` keeps in place.
+struct Ranks {
+    rows: usize,
+    ranks: Vec<u32>,
+    /// Distinct values per feature.
+    distinct: Vec<usize>,
+}
+
+impl Ranks {
+    /// Ranks of `x`, which holds no NaN (`check_fit_inputs`).
+    fn new(x: &Matrix) -> Ranks {
+        let (n, d) = (x.rows(), x.cols());
+        let mut ranks = vec![0u32; n * d];
+        let mut distinct = Vec::with_capacity(d);
+        let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
+        for f in 0..d {
+            column.clear();
+            column.extend((0..n).map(|r| (x.get(r, f), r as u32)));
+            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let out = &mut ranks[f * n..(f + 1) * n];
+            let mut rank = 0u32;
+            for (i, &(v, r)) in column.iter().enumerate() {
+                if i > 0 && v != column[i - 1].0 {
+                    rank += 1;
+                }
+                out[r as usize] = rank;
+            }
+            distinct.push(rank as usize + 1);
+        }
+        Ranks {
+            rows: n,
+            ranks,
+            distinct,
+        }
+    }
+
+    fn of(&self, feature: usize, row: usize) -> u32 {
+        self.ranks[feature * self.rows + row]
+    }
+}
+
+/// The presorted CART builder. A tree is grown over *positions*: indices
+/// into the tree's row list (the bootstrap draw, or every row), so a row
+/// drawn twice occupies two positions. Every node owns one contiguous
+/// segment `lo..hi` of `pos`, which lists its positions in ascending
+/// order, and the same segment of each feature's block of `sorted`, which
+/// lists them by (rank, position). That is exactly the order a stable
+/// per-node sort of the node's rows produces, because splitting a node
+/// stable-partitions every segment. So no node sorts, and every split,
+/// threshold and leaf equals the per-node-sorting builder's to the bit.
+///
+/// Buffers are reused across the trees of a forest.
+struct Builder<'a> {
+    x: &'a Matrix,
+    config: &'a TreeConfig,
+    criterion: Criterion,
+    /// Training ranks; `None` on the random-threshold path, which never
+    /// scans in value order.
+    ranks: Option<Ranks>,
+    /// Position → training row.
+    rows: Vec<usize>,
+    /// Position → target.
+    y: Vec<f64>,
+    /// Position → rank, one block of `rows.len()` per feature.
+    rank: Vec<u32>,
+    /// Node segments of positions in ascending order.
+    pos: Vec<u32>,
+    /// Node segments of positions in (rank, position) order, one block of
+    /// `rows.len()` per feature.
+    sorted: Vec<u32>,
+    /// Position → side of the split being applied.
+    goes_left: Vec<bool>,
+    /// The current node's targets in position order.
+    node_y: Vec<f64>,
+    scan: SplitScan,
+    scratch: Vec<u32>,
+    counts: Vec<usize>,
+}
+
+impl<'a> Builder<'a> {
+    /// A builder for fits of `config` on `x` under `task`'s criterion:
+    /// gini for classification, variance for regression.
+    fn new(x: &'a Matrix, config: &'a TreeConfig, task: Task) -> Builder<'a> {
+        let criterion = if task.is_classification() {
+            Criterion::Gini {
+                classes: task.num_classes().max(2),
+            }
         } else {
-            best_exact_split(x, y, &rows, f, config, criterion)
+            Criterion::Mse
         };
-        if let Some((imp, thr)) = candidate {
-            if best.is_none_or(|(bi, _, _)| imp < bi) {
-                best = Some((imp, f, thr));
+        Builder {
+            x,
+            config,
+            scan: SplitScan::init(&criterion, &[]),
+            criterion,
+            ranks: (!config.random_thresholds).then(|| Ranks::new(x)),
+            rows: Vec::new(),
+            y: Vec::new(),
+            rank: Vec::new(),
+            pos: Vec::new(),
+            sorted: Vec::new(),
+            goes_left: Vec::new(),
+            node_y: Vec::new(),
+            scratch: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Grows one tree over the row list `rows`, drawing feature subsets
+    /// and random thresholds from `rng` in the per-node-sorting builder's
+    /// order (depth first, left before right).
+    fn build(&mut self, rows: Vec<usize>, y: &[f64], rng: &mut StdRng) -> FittedTree {
+        let m = rows.len();
+        self.y.clear();
+        self.y.extend(rows.iter().map(|&r| y[r]));
+        self.pos.clear();
+        self.pos.extend(0..m as u32);
+        self.goes_left.clear();
+        self.goes_left.resize(m, false);
+        if let Some(ranks) = &self.ranks {
+            // Counting sort of the positions by (rank, position), per
+            // feature: positions are visited in ascending order, so each
+            // rank's bucket fills in position order.
+            let d = self.x.cols();
+            self.rank.clear();
+            self.sorted.clear();
+            self.sorted.resize(d * m, 0);
+            for f in 0..d {
+                self.rank.extend(rows.iter().map(|&r| ranks.of(f, r)));
+                let rank = &self.rank[f * m..(f + 1) * m];
+                self.counts.clear();
+                self.counts.resize(ranks.distinct[f] + 1, 0);
+                for &k in rank {
+                    self.counts[k as usize + 1] += 1;
+                }
+                for k in 1..self.counts.len() {
+                    self.counts[k] += self.counts[k - 1];
+                }
+                let block = &mut self.sorted[f * m..(f + 1) * m];
+                for (p, &k) in rank.iter().enumerate() {
+                    block[self.counts[k as usize]] = p as u32;
+                    self.counts[k as usize] += 1;
+                }
             }
         }
+        self.rows = rows;
+        let mut nodes = Vec::new();
+        self.node(0, m, 0, rng, &mut nodes);
+        FittedTree {
+            nodes,
+            outputs: self.criterion.outputs(),
+        }
     }
-    let Some((_, feature, threshold)) = best else {
-        return make_leaf(nodes, &rows);
-    };
-    let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-        rows.iter().partition(|&&r| x.get(r, feature) <= threshold);
-    if left_rows.len() < config.min_samples_leaf || right_rows.len() < config.min_samples_leaf {
-        return make_leaf(nodes, &rows);
-    }
-    let at = nodes.len();
-    nodes.push(Node::Leaf(Vec::new())); // placeholder, patched below
-    let left = build_node(x, y, left_rows, depth + 1, config, criterion, rng, nodes);
-    let right = build_node(x, y, right_rows, depth + 1, config, criterion, rng, nodes);
-    nodes[at] = Node::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    at
-}
 
-fn is_pure(y: &[f64], rows: &[usize]) -> bool {
-    rows.windows(2).all(|w| y[w[0]] == y[w[1]]) || rows.len() <= 1
-}
+    fn leaf(&self, nodes: &mut Vec<Node>) -> usize {
+        nodes.push(Node::Leaf(self.criterion.leaf_value(&self.node_y)));
+        nodes.len() - 1
+    }
 
-/// Exhaustive scan of all cut points on one feature; returns the best
-/// (weighted impurity, threshold) honouring `min_samples_leaf`.
-fn best_exact_split(
-    x: &Matrix,
-    y: &[f64],
-    rows: &[usize],
-    feature: usize,
-    config: &TreeConfig,
-    criterion: &Criterion,
-) -> Option<(f64, f64)> {
-    let mut order: Vec<usize> = rows.to_vec();
-    order.sort_by(|&a, &b| x.get(a, feature).partial_cmp(&x.get(b, feature)).unwrap());
-    let mut scan = SplitScan::init(criterion, y, rows);
-    let mut best: Option<(f64, f64)> = None;
-    for w in 0..order.len() - 1 {
-        let r = order[w];
-        scan.move_left(criterion, y[r]);
-        let v = x.get(r, feature);
-        let next = x.get(order[w + 1], feature);
-        if v == next {
-            continue; // can't cut between equal values
+    /// Grows the node over segment `lo..hi`; returns its arena index.
+    fn node(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        rng: &mut StdRng,
+        nodes: &mut Vec<Node>,
+    ) -> usize {
+        self.node_y.clear();
+        let y = &self.y;
+        self.node_y
+            .extend(self.pos[lo..hi].iter().map(|&p| y[p as usize]));
+        let config = self.config;
+        if depth >= config.max_depth || hi - lo < config.min_samples_split || is_pure(&self.node_y)
+        {
+            return self.leaf(nodes);
         }
-        if scan.left_n < config.min_samples_leaf || scan.right_n < config.min_samples_leaf {
-            continue;
+        let feats = node_features(self.x.cols(), config, rng);
+        let base = SplitScan::init(&self.criterion, &self.node_y);
+        let mut best: Option<(f64, usize, f64)> = None; // (impurity, feature, threshold)
+        for &f in &feats {
+            let candidate = if config.random_thresholds {
+                self.random_threshold_split(lo, hi, f, &base, rng)
+            } else {
+                self.best_exact_split(lo, hi, f, &base)
+            };
+            if let Some((imp, thr)) = candidate {
+                if best.is_none_or(|(bi, _, _)| imp < bi) {
+                    best = Some((imp, f, thr));
+                }
+            }
         }
-        let imp = scan.impurity(criterion);
-        let thr = v + (next - v) * 0.5;
-        if best.is_none_or(|(bi, _)| imp < bi) {
-            best = Some((imp, thr));
+        let Some((_, feature, threshold)) = best else {
+            return self.leaf(nodes);
+        };
+        let mut n_left = 0usize;
+        for &p in &self.pos[lo..hi] {
+            let left = self.x.get(self.rows[p as usize], feature) <= threshold;
+            self.goes_left[p as usize] = left;
+            n_left += usize::from(left);
         }
+        if n_left < config.min_samples_leaf || hi - lo - n_left < config.min_samples_leaf {
+            return self.leaf(nodes);
+        }
+        self.partition(lo, hi);
+        let at = nodes.len();
+        nodes.push(Node::Leaf(Vec::new())); // placeholder, patched below
+        let left = self.node(lo, lo + n_left, depth + 1, rng, nodes);
+        let right = self.node(lo + n_left, hi, depth + 1, rng, nodes);
+        nodes[at] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        at
     }
-    best
-}
 
-/// Extra-trees split: one uniform random threshold in the feature's range.
-fn random_threshold_split(
-    x: &Matrix,
-    y: &[f64],
-    rows: &[usize],
-    feature: usize,
-    config: &TreeConfig,
-    criterion: &Criterion,
-    rng: &mut StdRng,
-) -> Option<(f64, f64)> {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &r in rows {
-        let v = x.get(r, feature);
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    if hi <= lo {
-        return None;
-    }
-    let thr = rng.gen_range(lo..hi);
-    let mut scan = SplitScan::init(criterion, y, rows);
-    for &r in rows {
-        if x.get(r, feature) <= thr {
-            scan.move_left(criterion, y[r]);
+    /// Stable-partitions segment `lo..hi` of `pos` and of every feature's
+    /// block of `sorted` by `goes_left`, through one scratch buffer.
+    fn partition(&mut self, lo: usize, hi: usize) {
+        let m = self.rows.len();
+        let blocks = if self.ranks.is_some() {
+            self.x.cols()
+        } else {
+            0
+        };
+        let goes_left = &self.goes_left;
+        let scratch = &mut self.scratch;
+        let mut split = |segment: &mut [u32]| {
+            scratch.clear();
+            let mut kept = 0;
+            for i in 0..segment.len() {
+                let p = segment[i];
+                if goes_left[p as usize] {
+                    segment[kept] = p;
+                    kept += 1;
+                } else {
+                    scratch.push(p);
+                }
+            }
+            segment[kept..].copy_from_slice(scratch);
+        };
+        split(&mut self.pos[lo..hi]);
+        for f in 0..blocks {
+            split(&mut self.sorted[f * m + lo..f * m + hi]);
         }
     }
-    if scan.left_n < config.min_samples_leaf || scan.right_n < config.min_samples_leaf {
-        return None;
+
+    /// Exhaustive scan of all cut points of `feature` over its presorted
+    /// segment; returns the best (weighted impurity, threshold) honouring
+    /// `min_samples_leaf`.
+    fn best_exact_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        base: &SplitScan,
+    ) -> Option<(f64, f64)> {
+        let m = self.rows.len();
+        let order = &self.sorted[feature * m + lo..feature * m + hi];
+        let rank = &self.rank[feature * m..(feature + 1) * m];
+        let (criterion, min_leaf) = (&self.criterion, self.config.min_samples_leaf);
+        let scan = &mut self.scan;
+        scan.clone_from(base);
+        let mut best: Option<(f64, f64)> = None;
+        for w in 0..order.len() - 1 {
+            let (p, next_p) = (order[w] as usize, order[w + 1] as usize);
+            scan.move_left(criterion, self.y[p]);
+            if rank[p] == rank[next_p] {
+                continue; // can't cut between equal values
+            }
+            if scan.right_n < min_leaf {
+                break; // the right side only shrinks from here
+            }
+            if scan.left_n < min_leaf {
+                continue;
+            }
+            let imp = scan.impurity(criterion);
+            if best.is_none_or(|(bi, _)| imp < bi) {
+                let v = self.x.get(self.rows[p], feature);
+                let next = self.x.get(self.rows[next_p], feature);
+                best = Some((imp, v + (next - v) * 0.5));
+            }
+        }
+        best
     }
-    Some((scan.impurity(criterion), thr))
+
+    /// Extra-trees split: one uniform random threshold in the feature's
+    /// range over the node.
+    fn random_threshold_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        base: &SplitScan,
+        rng: &mut StdRng,
+    ) -> Option<(f64, f64)> {
+        let value = |p: u32| self.x.get(self.rows[p as usize], feature);
+        let positions = &self.pos[lo..hi];
+        let mut lo_v = f64::INFINITY;
+        let mut hi_v = f64::NEG_INFINITY;
+        for &p in positions {
+            let v = value(p);
+            lo_v = lo_v.min(v);
+            hi_v = hi_v.max(v);
+        }
+        if hi_v <= lo_v {
+            return None;
+        }
+        let thr = rng.gen_range(lo_v..hi_v);
+        let scan = &mut self.scan;
+        scan.clone_from(base);
+        for &p in positions {
+            if value(p) <= thr {
+                scan.move_left(&self.criterion, self.y[p as usize]);
+            }
+        }
+        let min_leaf = self.config.min_samples_leaf;
+        if scan.left_n < min_leaf || scan.right_n < min_leaf {
+            return None;
+        }
+        Some((scan.impurity(&self.criterion), thr))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,22 +604,9 @@ impl DecisionTree {
 impl Estimator for DecisionTree {
     fn fit(&mut self, x: &Matrix, y: &[f64], task: Task) -> Result<()> {
         check_fit_inputs("decision_tree", x, y)?;
-        let criterion = if task.is_classification() {
-            Criterion::Gini {
-                classes: task.num_classes().max(2),
-            }
-        } else {
-            Criterion::Mse
-        };
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.tree = Some(build_tree(
-            x,
-            y,
-            (0..x.rows()).collect(),
-            &self.config,
-            &criterion,
-            &mut rng,
-        ));
+        let mut builder = Builder::new(x, &self.config, task);
+        self.tree = Some(builder.build((0..x.rows()).collect(), y, &mut rng));
         self.task = Some(task);
         Ok(())
     }
@@ -547,15 +735,9 @@ impl Forest {
 impl Estimator for Forest {
     fn fit(&mut self, x: &Matrix, y: &[f64], task: Task) -> Result<()> {
         check_fit_inputs("forest", x, y)?;
-        let criterion = if task.is_classification() {
-            Criterion::Gini {
-                classes: task.num_classes().max(2),
-            }
-        } else {
-            Criterion::Mse
-        };
         let n = x.rows();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut builder = Builder::new(x, &self.config, task);
         self.trees = (0..self.n_estimators)
             .map(|_| {
                 let rows: Vec<usize> = if self.bootstrap {
@@ -563,7 +745,7 @@ impl Estimator for Forest {
                 } else {
                     (0..n).collect()
                 };
-                build_tree(x, y, rows, &self.config, &criterion, &mut rng)
+                builder.build(rows, y, &mut rng)
             })
             .collect();
         self.task = Some(task);
@@ -592,9 +774,295 @@ impl Estimator for Forest {
     }
 }
 
+/// The per-node-sorting CART builder the presorted [`Builder`] replaced,
+/// kept as the oracle it is tested against: every node re-sorts its rows
+/// on every candidate feature and partitions them into fresh vectors.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    fn targets(y: &[f64], rows: &[usize]) -> Vec<f64> {
+        rows.iter().map(|&r| y[r]).collect()
+    }
+
+    pub(super) fn build_tree(
+        x: &Matrix,
+        y: &[f64],
+        rows: Vec<usize>,
+        config: &TreeConfig,
+        criterion: &Criterion,
+        rng: &mut StdRng,
+    ) -> FittedTree {
+        let mut nodes = Vec::new();
+        build_node(x, y, rows, 0, config, criterion, rng, &mut nodes);
+        FittedTree {
+            nodes,
+            outputs: criterion.outputs(),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build_node(
+        x: &Matrix,
+        y: &[f64],
+        rows: Vec<usize>,
+        depth: usize,
+        config: &TreeConfig,
+        criterion: &Criterion,
+        rng: &mut StdRng,
+        nodes: &mut Vec<Node>,
+    ) -> usize {
+        let make_leaf = |nodes: &mut Vec<Node>, rows: &[usize]| -> usize {
+            nodes.push(Node::Leaf(criterion.leaf_value(&targets(y, rows))));
+            nodes.len() - 1
+        };
+        if depth >= config.max_depth
+            || rows.len() < config.min_samples_split
+            || is_pure(&targets(y, &rows))
+        {
+            return make_leaf(nodes, &rows);
+        }
+        let feats = node_features(x.cols(), config, rng);
+        let mut best: Option<(f64, usize, f64)> = None; // (impurity, feature, threshold)
+        for &f in &feats {
+            let candidate = if config.random_thresholds {
+                random_threshold_split(x, y, &rows, f, config, criterion, rng)
+            } else {
+                best_exact_split(x, y, &rows, f, config, criterion)
+            };
+            if let Some((imp, thr)) = candidate {
+                if best.is_none_or(|(bi, _, _)| imp < bi) {
+                    best = Some((imp, f, thr));
+                }
+            }
+        }
+        let Some((_, feature, threshold)) = best else {
+            return make_leaf(nodes, &rows);
+        };
+        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+            rows.iter().partition(|&&r| x.get(r, feature) <= threshold);
+        if left_rows.len() < config.min_samples_leaf || right_rows.len() < config.min_samples_leaf {
+            return make_leaf(nodes, &rows);
+        }
+        let at = nodes.len();
+        nodes.push(Node::Leaf(Vec::new())); // placeholder, patched below
+        let left = build_node(x, y, left_rows, depth + 1, config, criterion, rng, nodes);
+        let right = build_node(x, y, right_rows, depth + 1, config, criterion, rng, nodes);
+        nodes[at] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        at
+    }
+
+    fn best_exact_split(
+        x: &Matrix,
+        y: &[f64],
+        rows: &[usize],
+        feature: usize,
+        config: &TreeConfig,
+        criterion: &Criterion,
+    ) -> Option<(f64, f64)> {
+        let mut order: Vec<usize> = rows.to_vec();
+        order.sort_by(|&a, &b| x.get(a, feature).partial_cmp(&x.get(b, feature)).unwrap());
+        let mut scan = SplitScan::init(criterion, &targets(y, rows));
+        let mut best: Option<(f64, f64)> = None;
+        for w in 0..order.len() - 1 {
+            let r = order[w];
+            scan.move_left(criterion, y[r]);
+            let v = x.get(r, feature);
+            let next = x.get(order[w + 1], feature);
+            if v == next {
+                continue; // can't cut between equal values
+            }
+            if scan.left_n < config.min_samples_leaf || scan.right_n < config.min_samples_leaf {
+                continue;
+            }
+            let imp = scan.impurity(criterion);
+            let thr = v + (next - v) * 0.5;
+            if best.is_none_or(|(bi, _)| imp < bi) {
+                best = Some((imp, thr));
+            }
+        }
+        best
+    }
+
+    fn random_threshold_split(
+        x: &Matrix,
+        y: &[f64],
+        rows: &[usize],
+        feature: usize,
+        config: &TreeConfig,
+        criterion: &Criterion,
+        rng: &mut StdRng,
+    ) -> Option<(f64, f64)> {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for &r in rows {
+            let v = x.get(r, feature);
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if hi <= lo {
+            return None;
+        }
+        let thr = rng.gen_range(lo..hi);
+        let mut scan = SplitScan::init(criterion, &targets(y, rows));
+        for &r in rows {
+            if x.get(r, feature) <= thr {
+                scan.move_left(criterion, y[r]);
+            }
+        }
+        if scan.left_n < config.min_samples_leaf || scan.right_n < config.min_samples_leaf {
+            return None;
+        }
+        Some((scan.impurity(criterion), thr))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A fitted tree as exact bits: node kinds, features, thresholds,
+    /// children and leaf values.
+    fn tree_bits(tree: &FittedTree) -> Vec<(usize, u64, usize, usize, Vec<u64>)> {
+        tree.nodes
+            .iter()
+            .map(|node| match node {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => (*feature, threshold.to_bits(), *left, *right, Vec::new()),
+                Node::Leaf(v) => (usize::MAX, 0, 0, 0, v.iter().map(|x| x.to_bits()).collect()),
+            })
+            .collect()
+    }
+
+    /// Grows `trees` trees with the presorted builder and with the oracle
+    /// from one seed (bootstrap draws and builder share the rng, as in
+    /// `Forest::fit`) and asserts they are identical to the bit.
+    fn assert_builders_agree(
+        x: &Matrix,
+        y: &[f64],
+        task: Task,
+        config: &TreeConfig,
+        bootstrap: bool,
+        trees: usize,
+    ) {
+        let mut builder = Builder::new(x, config, task);
+        let mut fast_rng = StdRng::seed_from_u64(config.seed);
+        let mut oracle_rng = StdRng::seed_from_u64(config.seed);
+        let n = x.rows();
+        for t in 0..trees {
+            let draw = |rng: &mut StdRng| -> Vec<usize> {
+                if bootstrap {
+                    (0..n).map(|_| rng.gen_range(0..n)).collect()
+                } else {
+                    (0..n).collect()
+                }
+            };
+            let fast = builder.build(draw(&mut fast_rng), y, &mut fast_rng);
+            let slow = oracle::build_tree(
+                x,
+                y,
+                draw(&mut oracle_rng),
+                config,
+                &builder.criterion,
+                &mut oracle_rng,
+            );
+            assert_eq!(
+                tree_bits(&fast),
+                tree_bits(&slow),
+                "tree {t} under {config:?}"
+            );
+        }
+        // Both consumed the rng identically.
+        assert_eq!(fast_rng.gen::<u64>(), oracle_rng.gen::<u64>());
+    }
+
+    /// Cells drawn from a small grid (ties, duplicate rows, both zeros)
+    /// or a continuous range.
+    fn cell() -> impl Strategy<Value = f64> {
+        (0usize..8, -10.0f64..10.0)
+            .prop_map(|(k, v)| [-1.0, -0.0, 0.0, 0.5, 2.0].get(k).copied().unwrap_or(v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The presorted builder grows the oracle's trees to the bit, for
+        /// Gini and MSE, exact and random thresholds, with and without
+        /// bootstrap, under feature subsampling and every leaf/split
+        /// minimum.
+        #[test]
+        fn oracle_presorted_builder_matches_per_node_sorting(
+            rows in 2usize..40,
+            cols in 1usize..6,
+            cells in proptest::collection::vec(cell(), 40 * 6),
+            labels in proptest::collection::vec(0usize..4, 40),
+            task_pick in 0usize..3,
+            max_depth in 1usize..9,
+            min_samples_split in 1usize..6,
+            min_samples_leaf in 1usize..4,
+            max_features in (0usize..2, 0.2f64..1.0).prop_map(|(k, v)| if k == 0 { 1.0 } else { v }),
+            random_thresholds in proptest::bool::ANY,
+            bootstrap in proptest::bool::ANY,
+            seed in 0u64..1000,
+        ) {
+            let cells = cells[..rows * cols].to_vec();
+            let x = Matrix::from_vec(cells, rows, cols).unwrap();
+            let task = [Task::Binary, Task::MultiClass(4), Task::Regression][task_pick];
+            let y: Vec<f64> = labels[..rows]
+                .iter()
+                .map(|&l| match task {
+                    Task::Binary => (l % 2) as f64,
+                    Task::MultiClass(_) => l as f64,
+                    Task::Regression => l as f64 * 0.75 - 1.0,
+                })
+                .collect();
+            let config = TreeConfig {
+                max_depth,
+                min_samples_split,
+                min_samples_leaf,
+                max_features,
+                random_thresholds,
+                seed,
+            };
+            assert_builders_agree(&x, &y, task, &config, bootstrap, 3);
+        }
+    }
+
+    #[test]
+    fn oracle_presorted_builder_matches_on_signed_zeros_and_duplicates() {
+        // Columns where -0.0 and 0.0 interleave and whole rows repeat.
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| {
+                let z = if i % 3 == 0 { -0.0 } else { 0.0 };
+                let base = (i / 2) as f64;
+                vec![if i % 4 < 2 { z } else { base * 0.5 }, (i % 5) as f64, base]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let y: Vec<f64> = (0..60).map(|i| f64::from((i / 2) % 3 == 0)).collect();
+        for random_thresholds in [false, true] {
+            for bootstrap in [false, true] {
+                let config = TreeConfig {
+                    max_features: 0.67,
+                    random_thresholds,
+                    seed: 4,
+                    ..TreeConfig::default()
+                };
+                assert_builders_agree(&x, &y, Task::Binary, &config, bootstrap, 5);
+                assert_builders_agree(&x, &y, Task::Regression, &config, bootstrap, 5);
+            }
+        }
+    }
 
     /// XOR-ish data no linear model can fit but a depth-2 tree can.
     fn xor_data() -> (Matrix, Vec<f64>) {

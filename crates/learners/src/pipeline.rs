@@ -254,20 +254,22 @@ impl Pipeline {
     /// [`fit_score_encoded`] with the holdout predicted in blocks of
     /// `block_rows` rows: the metric accumulates through
     /// [`metrics::ScoreAccumulator`] as each block's predictions arrive, so
-    /// no full prediction vector (or per-block matrix larger than
-    /// `block_rows × cols`) is ever resident. Every estimator predicts
-    /// row-independently and the accumulator replays the unstreamed metric's
-    /// exact floating-point fold, so the score is bit-identical to
-    /// [`fit_score_encoded`] at any block size.
+    /// no per-block matrix larger than `block_rows × cols` is ever
+    /// resident. Every estimator predicts row-independently and the
+    /// accumulator replays the unstreamed metric's exact floating-point
+    /// fold, so the score is bit-identical to [`fit_score_encoded`] at any
+    /// block size. Returns the score and the holdout predictions (one `f64`
+    /// per row), which equal [`fit_predict_encoded`]'s to the bit.
     ///
     /// [`fit_score_encoded`]: Pipeline::fit_score_encoded
+    /// [`fit_predict_encoded`]: Pipeline::fit_predict_encoded
     pub fn fit_score_encoded_streamed(
         &mut self,
         train: &EncodedDataset,
         valid: &EncodedDataset,
         cache: Option<&TransformCache>,
         block_rows: usize,
-    ) -> Result<f64> {
+    ) -> Result<(f64, Vec<f64>)> {
         let pred_input = self.fit_encoded(train, valid, cache)?;
         let block_rows = block_rows.max(1);
         let target = valid.target();
@@ -275,6 +277,7 @@ impl Pipeline {
             Task::Regression => metrics::ScoreAccumulator::regression(target),
             task => metrics::ScoreAccumulator::classification(task.num_classes().max(2)),
         };
+        let mut predictions = Vec::with_capacity(pred_input.rows());
         let mut at = 0usize;
         while at < pred_input.rows() {
             let len = block_rows.min(pred_input.rows() - at);
@@ -282,9 +285,10 @@ impl Pipeline {
             let block = pred_input.take_rows(&idx);
             let pred = self.estimator.predict(&block)?;
             acc.push(&target[at..at + len], &pred);
+            predictions.extend_from_slice(&pred);
             at += len;
         }
-        Ok(acc.finish())
+        Ok((acc.finish(), predictions))
     }
 }
 
@@ -514,9 +518,11 @@ mod tests {
             let valid = EncodedDataset::with_encoder(train.encoder(), &ds).unwrap();
             let mut p = Pipeline::from_spec(PipelineSpec::bare(estimator)).unwrap();
             let base = p.fit_score_encoded(&train, &valid, None).unwrap();
+            let mut r = Pipeline::from_spec(PipelineSpec::bare(estimator)).unwrap();
+            let base_predictions = r.fit_predict_encoded(&train, &valid, None).unwrap();
             for block_rows in [1, 7, 1000] {
                 let mut q = Pipeline::from_spec(PipelineSpec::bare(estimator)).unwrap();
-                let streamed = q
+                let (streamed, predictions) = q
                     .fit_score_encoded_streamed(&train, &valid, None, block_rows)
                     .unwrap();
                 assert_eq!(
@@ -525,6 +531,8 @@ mod tests {
                     "{} at block_rows {block_rows}",
                     estimator.name()
                 );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&predictions), bits(&base_predictions));
             }
         }
     }

@@ -1,17 +1,18 @@
 //! Histogram-GBT parallel determinism (mirrors
 //! `crates/graphgen/tests/determinism.rs`).
 //!
-//! The histogram engine fans per-feature histogram accumulation and split
-//! scans over rayon once the feature count crosses its parallel threshold.
-//! Every reduction has a fixed order (per-feature work is independent;
-//! per-feature bests fold in feature order), so a fitted model — and every
-//! prediction — must be bit-for-bit identical at any worker count.
+//! A fit runs on the calling thread whatever rayon pool the caller has
+//! installed (the trial engine's lanes and concurrent trials are the one
+//! level of parallelism), and every reduction has a fixed order, so a
+//! fitted model — and every prediction — must be bit-for-bit identical at
+//! any worker count.
 
 use kgpip_learners::estimators::gbt::{GbtConfig, GradientBoosting};
 use kgpip_learners::{Estimator, EstimatorKind, Matrix};
 use kgpip_tabular::Task;
 
-/// Enough features to cross the engine's parallel-scan threshold.
+/// A wide matrix: more features than the trial datasets' hashed text
+/// columns.
 const FEATURES: usize = 24;
 
 fn wide_matrix(n: usize) -> Matrix {

@@ -44,6 +44,12 @@ cargo test -p kgpip-embeddings --test pq -q
 echo "==> cache-equivalence suite (trial caches change cost, never results)"
 cargo test -p kgpip-hpo --test cache_equivalence -q
 
+echo "==> trial-cost suite (presorted CART ≡ per-node-sorting oracle; trees, searches and run_k ≡ golden fixtures)"
+cargo test -p kgpip-learners --lib oracle_ -q
+cargo test -p kgpip-learners --test trees_golden -q
+cargo test -p kgpip-hpo --test hpo_golden -q
+cargo test -p kgpip --test run_k_golden -q
+
 echo "==> artifact suite (snapshot round-trips bit-for-bit; decoders are total over hostile bytes; serving is bit-identical to direct prediction)"
 cargo test -p kgpip --test snapshot_roundtrip -q
 cargo test -p kgpip-embeddings --lib codec:: -q
